@@ -884,6 +884,7 @@ let net_bench () =
   let module Config = Shoalpp_core.Config in
   let module Committee = Shoalpp_dag.Committee in
   let module Topology = Shoalpp_sim.Topology in
+  let module Stream = Shoalpp_backend.Stream_transport in
   let geti name default =
     match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
   in
@@ -963,13 +964,13 @@ let net_bench () =
     let audit = Node.audit node in
     if not (audit.Node.consistent_prefixes && audit.Node.duplicate_orders = 0) then
       note "WARNING: realtime audit failed at load %.0f coalesce %.0f\n" load coalesce_us;
-    let ns = Option.get (Node.tcp_net_stats node) in
+    let ns = Stream.net_stats (Option.get (Node.stream node)) in
     let mode = Printf.sprintf "tcp+gcp10/c%.0fus" coalesce_us in
     let txt, json =
       row ~mode ~load report
         [
-          string_of_int ns.Shoalpp_backend.Tcp_transport.flushes;
-          string_of_int ns.Shoalpp_backend.Tcp_transport.coalesced_frames;
+          string_of_int ns.Stream.flushes;
+          string_of_int ns.Stream.coalesced_frames;
         ]
     in
     let json =
@@ -979,8 +980,8 @@ let net_bench () =
           (fields
           @ [
               ("coalesce_us", Json.Float coalesce_us);
-              ("flushes", Json.Int ns.Shoalpp_backend.Tcp_transport.flushes);
-              ("coalesced_frames", Json.Int ns.Shoalpp_backend.Tcp_transport.coalesced_frames);
+              ("flushes", Json.Int ns.Stream.flushes);
+              ("coalesced_frames", Json.Int ns.Stream.coalesced_frames);
               ("audit_consistent", Json.Bool audit.Node.consistent_prefixes);
               ("duplicate_orders", Json.Int audit.Node.duplicate_orders);
             ])

@@ -1,6 +1,6 @@
 (* Command-line front end for the real-time deployment: the same Shoal++
-   replicas the simulator runs, on a wall clock over loopback or Unix-domain
-   sockets, with the run's trace and metrics exported on shutdown.
+   replicas the simulator runs, on a wall clock over loopback, Unix-domain or
+   TCP sockets, with the run's trace and metrics exported on shutdown.
 
    Examples:
      dune exec bin/shoalpp_node.exe -- -n 4 --duration 2000 --load 200
@@ -17,6 +17,7 @@ module Telemetry = Shoalpp_support.Telemetry
 module Config = Shoalpp_core.Config
 module Committee = Shoalpp_dag.Committee
 module Trace = Shoalpp_sim.Trace
+module Stream = Shoalpp_backend.Stream_transport
 open Cmdliner
 
 let write_file path f =
@@ -100,23 +101,13 @@ let parse_topology ~n spec =
     Error
       (Printf.sprintf "unknown topology %S (gcp10 | uniform:MS | clique:REGIONS,MS | FILE)" spec)
 
-let is_replica_sock f =
-  Filename.check_suffix f ".sock"
-  && String.length f > 8
-  && String.sub f 0 8 = "replica-"
-
 (* Remove only the replica sockets the run created. The directory itself is
    deleted only when it was our fresh temp dir, never when the user named it
    via --uds-dir; any unrelated files in a user-supplied dir are untouched. *)
-let cleanup_uds_dir ~created dir =
-  (match Sys.readdir dir with
-  | entries ->
-    Array.iter
-      (fun f ->
-        if is_replica_sock f then
-          try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      entries
-  | exception Sys_error _ -> ());
+let cleanup_uds_dir ~n ~created dir =
+  for i = 0 to n - 1 do
+    try Sys.remove (Stream.socket_path ~dir i) with Sys_error _ -> ()
+  done;
   if created then try Sys.rmdir dir with Sys_error _ -> ()
 
 let run n duration load warmup timeout link_delay seed no_verify domains verify_delay
@@ -147,7 +138,7 @@ let run n duration load warmup timeout link_delay seed no_verify domains verify_
             true )
       in
       if not (Sys.file_exists dir) then Unix.mkdir dir 0o700;
-      (Node.Uds dir, fun () -> cleanup_uds_dir ~created dir)
+      (Node.Uds dir, fun () -> cleanup_uds_dir ~n ~created dir)
     | Tcp -> (Node.Tcp tcp_port, fun () -> ())
   in
   let delays_ms =
@@ -206,11 +197,15 @@ let run n duration load warmup timeout link_delay seed no_verify domains verify_
        Printf.sprintf ", coalesce %.0f us" setup.Node.coalesce_us
      else "")
     (match topology with Some s -> ", topology " ^ s | None -> "");
-  (match Node.tcp_ports node with
-  | Some ports ->
-    Format.printf "tcp ports: %s@."
-      (String.concat "," (Array.to_list (Array.map string_of_int ports)))
-  | None -> ());
+  let tcp_ports =
+    match Node.stream node with
+    | Some s ->
+      List.filter_map
+        (function Unix.ADDR_INET (_, p) -> Some (string_of_int p) | Unix.ADDR_UNIX _ -> None)
+        (Array.to_list (Stream.addrs s))
+    | None -> []
+  in
+  if tcp_ports <> [] then Format.printf "tcp ports: %s@." (String.concat "," tcp_ports);
   (* Live observability plane: scrape endpoints served off the same select
      loop that drives consensus, with repeating gauge refreshes so a
      mid-run scrape sees current values rather than the shutdown snapshot. *)
@@ -261,11 +256,12 @@ let run n duration load warmup timeout link_delay seed no_verify domains verify_
       (Shoalpp_backend.Verify_pool.stolen pool)
       (Shoalpp_backend.Verify_pool.work_exceptions pool)
   | None -> ());
-  (match Node.tcp_net_stats node with
+  (match Node.stream node with
   | Some s ->
-    Format.printf "tcp: %d flushes, %d coalesced frames, %d reconnects, %d dial failures@."
-      s.Shoalpp_backend.Tcp_transport.flushes s.Shoalpp_backend.Tcp_transport.coalesced_frames
-      s.Shoalpp_backend.Tcp_transport.reconnects s.Shoalpp_backend.Tcp_transport.dial_failures
+    let ns = Stream.net_stats s in
+    Format.printf "%s: %d flushes, %d coalesced frames, %d reconnects, %d dial failures@."
+      (match transport with Node.Uds _ -> "uds" | _ -> "tcp")
+      ns.Stream.flushes ns.Stream.coalesced_frames ns.Stream.reconnects ns.Stream.dial_failures
   | None -> ());
   if Ledger.recorded (Node.ledger node) > 0 then begin
     Format.printf "per-commit stage attribution (stage x rule x dag, ms):@.";
@@ -385,7 +381,10 @@ let cmd =
       value
       & opt transport_conv Inproc
       & info [ "transport" ]
-          ~doc:"Message transport: inproc (loopback) | uds (Unix sockets) | tcp (127.0.0.1).")
+          ~doc:
+            "Message transport: inproc (loopback) | uds (Unix-domain sockets) | tcp \
+             (127.0.0.1). uds and tcp are the same stream transport over two address \
+             families: both coalesce writes (--coalesce-us) and reconnect with backoff.")
   in
   let uds_dir =
     Arg.(
@@ -409,9 +408,10 @@ let cmd =
       & opt float 0.0
       & info [ "coalesce-us" ] ~docv:"US"
           ~doc:
-            "TCP write coalescing: aggregate frames to one peer for up to US microseconds (or \
-             64 KiB, whichever first) and flush them as a single write. 0 (default) flushes \
-             every frame immediately. TCP_NODELAY is always set.")
+            "Write coalescing for --transport uds and tcp: aggregate frames to one peer for \
+             up to US microseconds (or 64 KiB, whichever first) and flush them as a single \
+             write. 0 (default) flushes every frame immediately. On tcp, TCP_NODELAY is \
+             always set.")
   in
   let topology =
     Arg.(
@@ -455,7 +455,7 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "shoalpp_node"
-       ~doc:"Run a real-time Shoal++ cluster (wall clock, loopback or Unix-domain sockets)")
+       ~doc:"Run a real-time Shoal++ cluster (wall clock, loopback, Unix-domain or TCP sockets)")
     Term.(
       const run $ n $ duration $ load $ warmup $ timeout $ link_delay $ seed $ no_verify
       $ domains $ verify_delay $ checkpoint_interval $ restart $ transport $ uds_dir

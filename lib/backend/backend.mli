@@ -7,8 +7,8 @@
     defined here. An executor supplies concrete closures at construction
     time: {!Backend_sim} wraps the discrete-event engine and network model
     (byte-identical to calling them directly), {!Backend_realtime} runs the
-    same protocol code on a wall clock with an in-process or Unix-domain
-    socket transport. A future TCP multi-process backend is an additive
+    same protocol code on a wall clock with an in-process loopback or a
+    {!Stream_transport} (TCP or Unix-domain sockets), each an additive
     module behind this same interface.
 
     Invariants:

@@ -1,5 +1,4 @@
 module Heap = Shoalpp_support.Heap
-module Wire = Shoalpp_codec.Wire
 
 (* [action] is written (cancelled) from posting domains and read by the
    loop; both under [mu] — see the guarded_by declarations on [t]. *)
@@ -43,7 +42,7 @@ type t = {
 (* A write to a peer that died arrives as EPIPE only if SIGPIPE is ignored;
    the default disposition would kill the whole process the first time a
    transport writes into a reset connection. Ignored once, process-wide, by
-   the first executor — every realtime I/O path (UDS, TCP, admin) relies on
+   the first executor — every realtime I/O path (stream sockets, admin) relies on
    seeing the errno instead. The once-guard is an [Atomic.exchange], not a
    [lazy]: forcing a shared lazy from two domains at once is a race (one
    domain can observe the thunk mid-update and raise [Lazy.Undefined]),
@@ -92,12 +91,7 @@ let create ?(max_tick_ms = 50.0) ?origin_of () =
       drain ());
   t
 
-(* Only pay the pipe-write syscall when the loop is actually (about to be)
-   blocked: a busy loop re-reads its horizon every iteration anyway. The
-   flag is raised BEFORE the loop reads the heap for its next deadline, so
-   a poster that misses the flag is guaranteed to have its timer seen by
-   that read, and a poster that sees it wakes the select — no lost-wakeup
-   window. *)
+(* Poke the wakeup pipe; a full pipe already guarantees a wakeup. *)
 let wake_write t =
   let b = Bytes.make 1 '!' in
   match Unix.write t.wake_w b 0 1 with
@@ -354,42 +348,6 @@ let loopback t ~n ?(delay_ms = 0.0) () =
         { Backend.Transport.sent = !sent; dropped = 0; partitioned = 0; bytes = !bytes });
   }
 
-(* Multicore in-process transport: counters are atomic and delivery invokes
-   the destination handler synchronously ON THE CALLING DOMAIN — no timer
-   hop through the main loop. Safe only when every handler is itself
-   cross-domain safe and free of protocol re-entrancy; the multicore node's
-   handlers just enqueue a verify-pool job (the protocol runs later, on the
-   destination lane's executor), which is exactly that. Handlers must be
-   installed before any foreign domain sends — publication happens-before
-   is the [Domain.spawn] of the lane executors. *)
-let multicore_loopback ~n () =
-  let handlers = Array.make n None in
-  let sent = Atomic.make 0 in
-  let bytes = Atomic.make 0 in
-  let post ~src ~dst ~size msg =
-    Atomic.incr sent;
-    ignore (Atomic.fetch_and_add bytes size);
-    match handlers.(dst) with Some h -> h ~src msg | None -> ()
-  in
-  {
-    Backend.Transport.n;
-    send = (fun ~src ~dst ~size msg -> post ~src ~dst ~size msg);
-    broadcast =
-      (fun ~src ~size ~include_self msg ->
-        for dst = 0 to n - 1 do
-          if include_self || dst <> src then post ~src ~dst ~size msg
-        done);
-    set_handler = (fun replica f -> handlers.(replica) <- Some f);
-    stats =
-      (fun () ->
-        {
-          Backend.Transport.sent = Atomic.get sent;
-          dropped = 0;
-          partitioned = 0;
-          bytes = float_of_int (Atomic.get bytes);
-        });
-  }
-
 (* Per-link delay shim: emulate a geography over any transport by holding
    each message on a sender-side timer for the link's one-way delay before
    handing it to the inner transport. Constant per-(src,dst) delays plus
@@ -415,239 +373,4 @@ let delayed t ~delay_ms (inner : 'msg Backend.Transport.t) =
         for dst = 0 to inner.Backend.Transport.n - 1 do
           if include_self || dst <> src then send ~src ~dst ~size msg
         done);
-  }
-
-module Framing = struct
-  let max_body = 1 lsl 26 (* 64 MiB: far above any protocol message *)
-
-  let frame ~src payload =
-    let w = Wire.Writer.create () in
-    Wire.Writer.uint w src;
-    Wire.Writer.bytes w payload;
-    let body = Wire.Writer.contents w in
-    let n = String.length body in
-    let out = Bytes.create (4 + n) in
-    Bytes.set_int32_be out 0 (Int32.of_int n);
-    Bytes.blit_string body 0 out 4 n;
-    Bytes.unsafe_to_string out
-
-  (* Byte backlog with a consumed-prefix offset: frames are decoded in
-     place by advancing [start], and the live region is compacted (or the
-     buffer grown) at most once per [feed], so decoding stays linear in the
-     bytes received no matter how many frames pile up on one connection. *)
-  type decoder = { mutable buf : Bytes.t; mutable start : int; mutable len : int }
-
-  let decoder () = { buf = Bytes.create 4096; start = 0; len = 0 }
-
-  let ensure_space d extra =
-    let cap = Bytes.length d.buf in
-    if d.start + d.len + extra > cap then
-      if d.len + extra <= cap then begin
-        Bytes.blit d.buf d.start d.buf 0 d.len;
-        d.start <- 0
-      end
-      else begin
-        let nb = Bytes.create (max (d.len + extra) (2 * cap)) in
-        Bytes.blit d.buf d.start nb 0 d.len;
-        d.buf <- nb;
-        d.start <- 0
-      end
-
-  let feed d chunk len =
-    ensure_space d len;
-    Bytes.blit chunk 0 d.buf (d.start + d.len) len;
-    d.len <- d.len + len;
-    let frames = ref [] in
-    let progress = ref true in
-    while !progress do
-      if d.len < 4 then progress := false
-      else begin
-        let body_len = Int32.to_int (Bytes.get_int32_be d.buf d.start) in
-        if body_len < 0 || body_len > max_body then
-          raise (Wire.Reader.Malformed "frame length out of range");
-        if d.len < 4 + body_len then progress := false
-        else begin
-          let body = Bytes.sub_string d.buf (d.start + 4) body_len in
-          d.start <- d.start + 4 + body_len;
-          d.len <- d.len - (4 + body_len);
-          let r = Wire.Reader.of_string body in
-          let src = Wire.Reader.uint r in
-          let payload = Wire.Reader.bytes r in
-          Wire.Reader.expect_end r;
-          frames := (src, payload) :: !frames
-        end
-      end
-    done;
-    if d.len = 0 then d.start <- 0;
-    List.rev !frames
-end
-
-let socket_path ~dir i = Filename.concat dir (Printf.sprintf "replica-%d.sock" i)
-
-(* An outbound connection. The socket is non-blocking: frames the kernel
-   buffer cannot take immediately queue here and are flushed when the loop
-   reports the descriptor writable, so a send can never block the (single)
-   thread that also drains the read side. *)
-type out_conn = {
-  o_fd : Unix.file_descr;
-  o_q : string Queue.t; (* unwritten frames; head may be partially written *)
-  mutable o_head_off : int; (* bytes of the queue head already written *)
-  mutable o_buffered : int; (* total unwritten bytes across the queue *)
-}
-
-(* Per-connection backlog cap: beyond this, new frames are counted as
-   dropped instead of queued, bounding memory when a peer stops reading. *)
-let max_out_buffered = 8 * 1024 * 1024
-
-type 'msg uds_state = {
-  exec : t;
-  u_n : int;
-  dir : string;
-  u_encode : 'msg -> string;
-  u_decode : string -> 'msg option;
-  u_handlers : (src:int -> 'msg -> unit) option array;
-  u_out : out_conn option array; (* lazily dialed, one per destination *)
-  mutable u_sent : int;
-  mutable u_dropped : int;
-  mutable u_bytes : float;
-}
-
-let uds_close_conn st fd =
-  remove_poller st.exec fd;
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* One accepted connection: drain whatever is readable, dispatch complete
-   frames to the owning replica's handler. A corrupt stream (or EOF) tears
-   the connection down; the peer re-dials on its next send. *)
-let uds_on_readable st ~owner conn dec buf () =
-  match Unix.read conn buf 0 (Bytes.length buf) with
-  | 0 -> uds_close_conn st conn
-  | len -> (
-    match Framing.feed dec buf len with
-    | frames ->
-      List.iter
-        (fun (src, payload) ->
-          match st.u_decode payload with
-          | Some msg -> (
-            match st.u_handlers.(owner) with Some h -> h ~src msg | None -> ())
-          | None -> st.u_dropped <- st.u_dropped + 1)
-        frames
-    | exception Wire.Reader.Malformed _ ->
-      st.u_dropped <- st.u_dropped + 1;
-      uds_close_conn st conn)
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ -> uds_close_conn st conn
-
-let uds_listen st i =
-  let path = socket_path ~dir:st.dir i in
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 64;
-  Unix.set_nonblock fd;
-  add_poller st.exec fd (fun () ->
-      match Unix.accept fd with
-      | conn, _ ->
-        Unix.set_nonblock conn;
-        let dec = Framing.decoder () in
-        let buf = Bytes.create 65536 in
-        add_poller st.exec conn (uds_on_readable st ~owner:i conn dec buf)
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ());
-  fd
-
-let uds_dial st dst =
-  match st.u_out.(dst) with
-  | Some oc -> Some oc
-  | None -> (
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX (socket_path ~dir:st.dir dst)) with
-    | () ->
-      Unix.set_nonblock fd;
-      let oc = { o_fd = fd; o_q = Queue.create (); o_head_off = 0; o_buffered = 0 } in
-      st.u_out.(dst) <- Some oc;
-      Some oc
-    | exception Unix.Unix_error _ ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      None)
-
-(* Broken pipe or peer gone: drop the cached connection (its still-queued
-   frames count as dropped) so the next send re-dials. *)
-let uds_drop_out st dst oc =
-  remove_wpoller st.exec oc.o_fd;
-  (try Unix.close oc.o_fd with Unix.Unix_error _ -> ());
-  st.u_out.(dst) <- None;
-  st.u_dropped <- st.u_dropped + Queue.length oc.o_q
-
-let rec uds_flush st dst oc =
-  if Queue.is_empty oc.o_q then remove_wpoller st.exec oc.o_fd
-  else begin
-    let s = Queue.peek oc.o_q in
-    let len = String.length s - oc.o_head_off in
-    match Unix.write oc.o_fd (Bytes.unsafe_of_string s) oc.o_head_off len with
-    | n ->
-      oc.o_buffered <- oc.o_buffered - n;
-      if n = len then begin
-        ignore (Queue.pop oc.o_q);
-        oc.o_head_off <- 0;
-        uds_flush st dst oc
-      end
-      else begin
-        oc.o_head_off <- oc.o_head_off + n;
-        add_wpoller st.exec oc.o_fd (fun () -> uds_flush st dst oc)
-      end
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-      add_wpoller st.exec oc.o_fd (fun () -> uds_flush st dst oc)
-    | exception Unix.Unix_error _ -> uds_drop_out st dst oc
-  end
-
-let uds_send st ~src ~dst ~size msg =
-  match uds_dial st dst with
-  | None -> st.u_dropped <- st.u_dropped + 1
-  | Some oc ->
-    let frame = Framing.frame ~src (st.u_encode msg) in
-    if oc.o_buffered + String.length frame > max_out_buffered then
-      st.u_dropped <- st.u_dropped + 1
-    else begin
-      Queue.add frame oc.o_q;
-      oc.o_buffered <- oc.o_buffered + String.length frame;
-      st.u_sent <- st.u_sent + 1;
-      st.u_bytes <- st.u_bytes +. float_of_int size;
-      uds_flush st dst oc
-    end
-
-let uds t ~n ~dir ~encode ~decode () =
-  let st =
-    {
-      exec = t;
-      u_n = n;
-      dir;
-      u_encode = encode;
-      u_decode = decode;
-      u_handlers = Array.make n None;
-      u_out = Array.make n None;
-      u_sent = 0;
-      u_dropped = 0;
-      u_bytes = 0.0;
-    }
-  in
-  for i = 0 to n - 1 do
-    ignore (uds_listen st i)
-  done;
-  {
-    Backend.Transport.n = st.u_n;
-    send = (fun ~src ~dst ~size msg -> uds_send st ~src ~dst ~size msg);
-    broadcast =
-      (fun ~src ~size ~include_self msg ->
-        for dst = 0 to n - 1 do
-          if include_self || dst <> src then uds_send st ~src ~dst ~size msg
-        done);
-    set_handler = (fun replica f -> st.u_handlers.(replica) <- Some f);
-    stats =
-      (fun () ->
-        {
-          Backend.Transport.sent = st.u_sent;
-          dropped = st.u_dropped;
-          partitioned = 0;
-          bytes = st.u_bytes;
-        });
   }

@@ -3,9 +3,9 @@
     Runs the same protocol code as the simulator on real time: a timer
     wheel over a mutex-protected binary heap ({!Shoalpp_support.Heap}),
     a monotonic millisecond clock (clamped against system-clock steps),
-    and a choice of transports — in-process loopback dispatching through
-    the timer loop, or Unix-domain sockets with length-prefixed
-    {!Shoalpp_codec.Wire} framing.
+    and the in-process loopback transport dispatching through the timer
+    loop. Socket transports (TCP and Unix-domain) are
+    {!Stream_transport}, driven by this executor's I/O pollers.
 
     Each executor's event loop is single-threaded: {!run_for} fires due
     timers in (due-time, scheduling-order) order and multiplexes socket
@@ -21,12 +21,12 @@
     Invariants:
     - {!Backend.Clock} readings never decrease; time is ms since
       {!create};
-    - a message handler is never invoked from inside [send] — loopback
-      deliveries go through a zero-delay timer, socket deliveries through
-      the read side of the loop;
-    - per-sender FIFO order is preserved by both transports (equal
-      due-times fire in scheduling order; stream sockets preserve byte
-      order);
+    - a message handler is never invoked from inside [send] and always
+      runs on the loop's own thread — loopback deliveries go through a
+      zero-delay timer, socket deliveries through the read side of the
+      loop;
+    - per-sender FIFO order is preserved (equal due-times fire in
+      scheduling order; stream sockets preserve byte order);
     - the first {!create} ignores [SIGPIPE] process-wide: a write into a
       reset connection must surface as [EPIPE] for the transports'
       teardown paths, never kill the process. *)
@@ -80,9 +80,9 @@ val stop_and_join : t -> unit
 val events_fired : t -> int
 val pending_timers : t -> int
 
-(** {2 I/O polling} — used by the socket transport; exposed for future
-    transports. Callbacks run on the loop thread when the descriptor is
-    readable (pollers) or writable (wpollers). *)
+(** {2 I/O polling} — used by {!Stream_transport} and the admin server.
+    Callbacks run on the loop thread when the descriptor is readable
+    (pollers) or writable (wpollers). *)
 
 val add_poller : t -> Unix.file_descr -> (unit -> unit) -> unit
 val remove_poller : t -> Unix.file_descr -> unit
@@ -96,16 +96,6 @@ val loopback : t -> n:int -> ?delay_ms:float -> unit -> 'msg Backend.Transport.t
     that invokes the destination handler. Nothing is serialized; [size] is
     charged to the byte counter as declared. *)
 
-val multicore_loopback : n:int -> unit -> 'msg Backend.Transport.t
-(** In-process transport for the multicore node: delivery invokes the
-    destination handler synchronously {e on the calling domain}, and the
-    byte/message counters are atomics, so any domain may send without a
-    timer hop through a shared loop. Use only when every handler is itself
-    cross-domain safe and never re-enters the protocol inline — the
-    multicore node's handlers only enqueue a {!Verify_pool} job. Install
-    all handlers before the first foreign-domain send (the lane executors'
-    [Domain.spawn] is the publication point). *)
-
 val delayed :
   t ->
   delay_ms:(src:int -> dst:int -> float) ->
@@ -118,42 +108,3 @@ val delayed :
     sockets. Constant per-link delays preserve per-(src, dst) FIFO order;
     stats are the inner transport's. A zero or negative delay sends
     immediately with no timer hop. *)
-
-module Framing : sig
-  (** Length-prefixed frames over a byte stream: a 4-byte big-endian body
-      length, then a {!Shoalpp_codec.Wire} body [(uint src; bytes
-      payload)]. Split out for direct testing. *)
-
-  val frame : src:int -> string -> string
-  (** Encode one payload as a complete frame. *)
-
-  type decoder
-
-  val decoder : unit -> decoder
-
-  val feed : decoder -> Bytes.t -> int -> (int * string) list
-  (** [feed d chunk len] appends [len] bytes and returns every complete
-      [(src, payload)] frame now available, in stream order. Partial frames
-      are buffered across calls.
-      @raise Shoalpp_codec.Wire.Reader.Malformed on a corrupt frame
-      (including bodies over 64 MiB). *)
-end
-
-val uds :
-  t ->
-  n:int ->
-  dir:string ->
-  encode:('msg -> string) ->
-  decode:(string -> 'msg option) ->
-  unit ->
-  'msg Backend.Transport.t
-(** Unix-domain-socket transport: replica [i] listens on
-    [dir/replica-i.sock]; outbound connections are dialed lazily and each
-    frame carries the sender id, so one socket per (process, destination)
-    pair suffices. Outbound sockets are non-blocking: frames the kernel
-    cannot take immediately are buffered per connection (up to 8 MiB,
-    beyond which they are dropped and counted) and flushed from the loop
-    on writability, so [send] never blocks the loop thread. Messages whose
-    [decode] fails (or that arrive on a corrupt stream) are dropped and
-    counted. All endpoints live in this process today, but nothing in the
-    wire format assumes it. *)

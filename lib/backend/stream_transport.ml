@@ -7,21 +7,22 @@
    as this single-domain discipline holds. *)
 [@@@shoalpp.domain "main"]
 
-(* Length-prefixed TCP transport for the wall-clock executor.
+(* Length-prefixed stream-socket transport for the wall-clock executor.
 
-   Same wire format as the UDS transport (Backend_realtime.Framing: 4-byte
-   big-endian body length, then a Wire body carrying (src, payload)), but
-   over 127.0.0.1 TCP sockets with the two behaviours a real deployment
-   needs and loopback hides:
+   One implementation for every [SOCK_STREAM] address family: replica i
+   listens on [addrs.(i)] — an [ADDR_INET] (TCP) or an [ADDR_UNIX] path
+   (Unix-domain sockets) — and frames are a 4-byte big-endian body length,
+   then a Wire body carrying (src, payload). Two behaviours a real
+   deployment needs and an in-process loopback hides:
 
    - Per-peer WRITE COALESCING: frames bound for one destination are
      appended to a pending buffer and flushed as a single aggregated write
      when either a byte threshold is reached or a latency budget
      ([coalesce_us]) expires. Small protocol messages (votes,
      certificates) stop paying one syscall each — the real-time analogue
-     of the simulator's region-batched broadcast. TCP_NODELAY is set so
-     the kernel never adds a second (Nagle) coalescing delay on top of
-     ours; with [coalesce_us = 0] every frame is written immediately.
+     of the simulator's region-batched broadcast. On TCP, TCP_NODELAY is
+     set so the kernel never adds a second (Nagle) coalescing delay on top
+     of ours; with [coalesce_us = 0] every frame is written immediately.
 
    - LAZY RECONNECT with capped exponential backoff: a send to a peer with
      no live connection dials it non-blockingly; a failed dial (or a
@@ -36,8 +37,79 @@
    a per-connection Framing.decoder. No protocol handler ever runs inside
    [send]. *)
 
-module Framing = Backend_realtime.Framing
 module Wire = Shoalpp_codec.Wire
+
+module Framing = struct
+  let max_body = 1 lsl 26 (* 64 MiB: far above any protocol message *)
+
+  let frame ~src payload =
+    let w = Wire.Writer.create () in
+    Wire.Writer.uint w src;
+    Wire.Writer.bytes w payload;
+    let body = Wire.Writer.contents w in
+    let n = String.length body in
+    let out = Bytes.create (4 + n) in
+    Bytes.set_int32_be out 0 (Int32.of_int n);
+    Bytes.blit_string body 0 out 4 n;
+    Bytes.unsafe_to_string out
+
+  (* Byte backlog with a consumed-prefix offset: frames are decoded in
+     place by advancing [start], and the live region is compacted (or the
+     buffer grown) at most once per [feed], so decoding stays linear in the
+     bytes received no matter how many frames pile up on one connection. *)
+  type decoder = { mutable buf : Bytes.t; mutable start : int; mutable len : int }
+
+  let decoder () = { buf = Bytes.create 4096; start = 0; len = 0 }
+
+  let ensure_space d extra =
+    let cap = Bytes.length d.buf in
+    if d.start + d.len + extra > cap then
+      if d.len + extra <= cap then begin
+        Bytes.blit d.buf d.start d.buf 0 d.len;
+        d.start <- 0
+      end
+      else begin
+        let nb = Bytes.create (max (d.len + extra) (2 * cap)) in
+        Bytes.blit d.buf d.start nb 0 d.len;
+        d.buf <- nb;
+        d.start <- 0
+      end
+
+  let feed d chunk len =
+    ensure_space d len;
+    Bytes.blit chunk 0 d.buf (d.start + d.len) len;
+    d.len <- d.len + len;
+    let frames = ref [] in
+    let progress = ref true in
+    while !progress do
+      if d.len < 4 then progress := false
+      else begin
+        let body_len = Int32.to_int (Bytes.get_int32_be d.buf d.start) in
+        if body_len < 0 || body_len > max_body then
+          raise (Wire.Reader.Malformed "frame length out of range");
+        if d.len < 4 + body_len then progress := false
+        else begin
+          let body = Bytes.sub_string d.buf (d.start + 4) body_len in
+          d.start <- d.start + 4 + body_len;
+          d.len <- d.len - (4 + body_len);
+          let r = Wire.Reader.of_string body in
+          let src = Wire.Reader.uint r in
+          let payload = Wire.Reader.bytes r in
+          Wire.Reader.expect_end r;
+          frames := (src, payload) :: !frames
+        end
+      end
+    done;
+    if d.len = 0 then d.start <- 0;
+    List.rev !frames
+end
+
+let socket_path ~dir i = Filename.concat dir (Printf.sprintf "replica-%d.sock" i)
+let unix_addrs ~dir ~n = Array.init n (fun i -> Unix.ADDR_UNIX (socket_path ~dir i))
+
+let tcp_addrs ~base_port ~n =
+  Array.init n (fun i ->
+      Unix.ADDR_INET (Unix.inet_addr_loopback, if base_port = 0 then 0 else base_port + i))
 
 let backoff_base_ms = 10.0
 let backoff_cap_ms = 2000.0
@@ -74,8 +146,7 @@ type net_stats = {
 type 'msg t = {
   exec : Backend_realtime.t;
   n : int;
-  host : string;
-  t_ports : int array;
+  t_addrs : Unix.sockaddr array; (* listen addresses; ports resolved after bind *)
   coalesce_ms : float;
   t_encode : 'msg -> string;
   t_decode : string -> 'msg option;
@@ -121,19 +192,26 @@ let on_readable t ~owner conn dec buf () =
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> forget_inbound t ~owner conn
 
+(* A Unix-domain listener first unlinks whatever a previous run (or a
+   crashed incarnation) left at its path; a TCP listener reads its port
+   back so a kernel-picked port 0 becomes dialable. *)
 let listen_replica t i =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let addr = t.t_addrs.(i) in
+  (match addr with
+  | Unix.ADDR_UNIX path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+  | Unix.ADDR_INET _ -> ());
+  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string t.host, t.t_ports.(i)));
+     Unix.bind fd addr;
      Unix.listen fd 128;
      Unix.set_nonblock fd
    with e ->
      close_quiet fd;
      raise e);
-  (match Unix.getsockname fd with
-  | Unix.ADDR_INET (_, p) -> t.t_ports.(i) <- p
-  | _ -> ());
+  (match addr with
+  | Unix.ADDR_INET _ -> t.t_addrs.(i) <- Unix.getsockname fd
+  | Unix.ADDR_UNIX _ -> ());
   Backend_realtime.add_poller t.exec fd (fun () ->
       match Unix.accept fd with
       | conn, _ ->
@@ -157,6 +235,19 @@ let cancel_flush_timer c =
 
 (* Tear the connection down and charge its undelivered frames as dropped.
    The peer re-dials on a later send, after its backoff deadline. *)
+(* A failed dial or a torn-down stream: count it and hold the peer's next
+   dial back by its current delay, doubling the delay up to the cap. *)
+let back_off t p =
+  t.t_dial_failures <- t.t_dial_failures + 1;
+  p.p_retry_at_ms <- Backend_realtime.now_ms t.exec +. p.p_backoff_ms;
+  p.p_backoff_ms <- Float.min (2.0 *. p.p_backoff_ms) backoff_cap_ms
+
+(* A dial completed: a peer that had backed off counts as reconnected. *)
+let note_connected t p =
+  if p.p_backoff_ms > backoff_base_ms then t.t_reconnects <- t.t_reconnects + 1;
+  p.p_backoff_ms <- backoff_base_ms;
+  p.p_retry_at_ms <- 0.0
+
 let drop_conn t dst c =
   let p = t.peers.(dst) in
   Backend_realtime.remove_wpoller t.exec c.c_fd;
@@ -166,9 +257,7 @@ let drop_conn t dst c =
   Queue.iter (fun (_, frames) -> lost := !lost + frames) c.c_q;
   t.t_dropped <- t.t_dropped + !lost;
   p.p_conn <- None;
-  t.t_dial_failures <- t.t_dial_failures + 1;
-  p.p_retry_at_ms <- Backend_realtime.now_ms t.exec +. p.p_backoff_ms;
-  p.p_backoff_ms <- Float.min (2.0 *. p.p_backoff_ms) backoff_cap_ms
+  back_off t p
 
 let rec pump t dst c =
   if Queue.is_empty c.c_q then Backend_realtime.remove_wpoller t.exec c.c_fd
@@ -212,17 +301,18 @@ let finish_connect t dst c =
   match Unix.getsockopt_error c.c_fd with
   | None ->
     c.c_connected <- true;
-    let p = t.peers.(dst) in
-    if p.p_backoff_ms > backoff_base_ms then t.t_reconnects <- t.t_reconnects + 1;
-    p.p_backoff_ms <- backoff_base_ms;
-    p.p_retry_at_ms <- 0.0;
+    note_connected t t.peers.(dst);
     flush_pending t dst c
   | Some _ -> drop_conn t dst c
 
 let dial t dst =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let addr = t.t_addrs.(dst) in
+  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   Unix.set_nonblock fd;
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+  (match addr with
+  | Unix.ADDR_INET _ -> (
+    try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
+  | Unix.ADDR_UNIX _ -> ());
   let mk connected =
     {
       c_fd = fd;
@@ -235,12 +325,13 @@ let dial t dst =
       c_connected = connected;
     }
   in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string t.host, t.t_ports.(dst)) in
+  (* A Unix-domain connect usually completes at once; TCP reports
+     EINPROGRESS and finishes on writability. *)
   match Unix.connect fd addr with
   | () ->
     let c = mk true in
     t.peers.(dst).p_conn <- Some c;
-    t.peers.(dst).p_backoff_ms <- backoff_base_ms;
+    note_connected t t.peers.(dst);
     Some c
   | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) ->
     let c = mk false in
@@ -249,10 +340,7 @@ let dial t dst =
     Some c
   | exception Unix.Unix_error _ ->
     close_quiet fd;
-    let p = t.peers.(dst) in
-    t.t_dial_failures <- t.t_dial_failures + 1;
-    p.p_retry_at_ms <- Backend_realtime.now_ms t.exec +. p.p_backoff_ms;
-    p.p_backoff_ms <- Float.min (2.0 *. p.p_backoff_ms) backoff_cap_ms;
+    back_off t t.peers.(dst);
     None
 
 let conn_for t dst =
@@ -288,14 +376,13 @@ let send t ~src ~dst ~size msg =
 
 (* ------------------------------------------------------------------ *)
 
-let create exec ~n ?(base_port = 0) ?(host = "127.0.0.1") ?(coalesce_us = 0.0) ~encode
-    ~decode () =
+let create exec ~addrs ?(coalesce_us = 0.0) ~encode ~decode () =
+  let n = Array.length addrs in
   let t =
     {
       exec;
       n;
-      host;
-      t_ports = Array.init n (fun i -> if base_port = 0 then 0 else base_port + i);
+      t_addrs = Array.copy addrs;
       coalesce_ms = Float.max 0.0 coalesce_us /. 1000.0;
       t_encode = encode;
       t_decode = decode;
@@ -319,7 +406,7 @@ let create exec ~n ?(base_port = 0) ?(host = "127.0.0.1") ?(coalesce_us = 0.0) ~
   done;
   t
 
-let ports t = Array.copy t.t_ports
+let addrs t = Array.copy t.t_addrs
 
 let transport t =
   {
@@ -351,7 +438,8 @@ let net_stats t =
 
 (* Test hooks: simulate replica [i]'s process dying (its listener and every
    connection it accepted vanish; peers' established connections to it hit
-   ECONNRESET/EPIPE on their next write) and coming back on the same port. *)
+   ECONNRESET/EPIPE on their next write) and coming back on the same
+   address. *)
 
 let crash_replica t i =
   (match t.listeners.(i) with

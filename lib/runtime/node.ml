@@ -15,7 +15,7 @@ module Obs = Shoalpp_sim.Obs
 module Validation = Shoalpp_dag.Validation
 module Verify_pool = Shoalpp_backend.Verify_pool
 module Crypto_cost = Shoalpp_backend.Crypto_cost
-module Tcp = Shoalpp_backend.Tcp_transport
+module Stream = Shoalpp_backend.Stream_transport
 
 type transport = Inproc | Uds of string | Tcp of int
 
@@ -75,7 +75,7 @@ type t = {
   setup : setup;
   exec : Realtime.t;
   backend : Replica.envelope Backend.t;
-  tcp : Replica.envelope Tcp.t option;
+  stream : Replica.envelope Stream.t option; (* the socket transport, if any *)
   mc : multicore option;
   mutable replicas : Replica.t array;
   mempools : Mempool.t array;
@@ -129,11 +129,10 @@ let create setup =
           mc_rejects = Array.make (n * k) 0;
         }
   in
-  (* Transports with single-domain state (the socket poller, the delaying
-     loopback) are wrapped so lane domains hand each send to the main loop;
-     the zero-delay multicore loopback instead dispatches on the calling
-     domain — its counters are atomic and the multicore handlers only
-     enqueue verify-pool jobs, so no protocol code runs inline. *)
+  (* One delivery rule at every domain count: every transport handler runs
+     on the main executor's loop. Transports own single-domain state (timer
+     heap entries, socket pollers, the delay shim's timers), so with lane
+     domains each send is posted to the main loop first. *)
   let post_to_main (raw : Replica.envelope Backend.Transport.t) =
     {
       Backend.Transport.n = raw.Backend.Transport.n;
@@ -148,31 +147,21 @@ let create setup =
       stats = raw.Backend.Transport.stats;
     }
   in
-  let tcp = ref None in
-  (* The multicore zero-delay loopback is the one transport safe to call
-     from a lane domain directly; anything else (socket pollers, the
-     delaying loopback, the delay shim's timers) owns single-domain state
-     and must be reached through [post_to_main]. *)
-  let mc_direct_loopback =
-    Option.is_some mc && setup.link_delay_ms = 0.0 && setup.delays_ms = None
+  let open_stream addrs =
+    Stream.create exec ~addrs ~coalesce_us:setup.coalesce_us ~encode:encode_envelope
+      ~decode:(decode_envelope ~cluster_seed:committee.Committee.cluster_seed)
+      ()
+  in
+  let stream =
+    match setup.transport with
+    | Inproc -> None
+    | Uds dir -> Some (open_stream (Stream.unix_addrs ~dir ~n))
+    | Tcp base_port -> Some (open_stream (Stream.tcp_addrs ~base_port ~n))
   in
   let raw =
-    match setup.transport with
-    | Inproc when mc_direct_loopback -> Realtime.multicore_loopback ~n ()
-    | Inproc -> Realtime.loopback exec ~n ~delay_ms:setup.link_delay_ms ()
-    | Uds dir ->
-      Realtime.uds exec ~n ~dir ~encode:encode_envelope
-        ~decode:(decode_envelope ~cluster_seed:committee.Committee.cluster_seed)
-        ()
-    | Tcp base_port ->
-      let h =
-        Tcp.create exec ~n ~base_port ~coalesce_us:setup.coalesce_us
-          ~encode:encode_envelope
-          ~decode:(decode_envelope ~cluster_seed:committee.Committee.cluster_seed)
-          ()
-      in
-      tcp := Some h;
-      Tcp.transport h
+    match stream with
+    | Some s -> Stream.transport s
+    | None -> Realtime.loopback exec ~n ~delay_ms:setup.link_delay_ms ()
   in
   (* Geography shim: per-(src,dst) one-way delays applied sender-side over
      whatever transport is underneath. The timers live on the main loop, so
@@ -182,9 +171,7 @@ let create setup =
     | None -> raw
     | Some d -> Realtime.delayed exec ~delay_ms:(fun ~src ~dst -> d.(src).(dst)) raw
   in
-  let transport =
-    if Option.is_none mc || mc_direct_loopback then shimmed else post_to_main shimmed
-  in
+  let transport = if Option.is_none mc then shimmed else post_to_main shimmed in
   (* Modeled verification service time ({!Crypto_cost}), charged per
      SIGNATURE rather than per message: one for the header / vote /
      certificate check, plus one per transaction carried in a proposal's
@@ -233,7 +220,7 @@ let create setup =
       setup;
       exec;
       backend;
-      tcp = !tcp;
+      stream;
       mc;
       replicas = [||];
       mempools;
@@ -346,31 +333,35 @@ let create setup =
       (fun rid replica ->
         Backend.set_handler backend rid (fun ~src env ->
             let dag_id = env.Replica.dag_id in
-            (* The [closed] check makes the quiesce window benign: socket
-               transports can still deliver while the main loop drains after
-               {!Verify_pool.shutdown}, and a post-shutdown submit raises by
-               contract. Handler and shutdown both run on the main domain,
-               so the check cannot race. *)
             (* Control-plane envelopes (checkpoint votes) bypass the verify
-               pool and land on the merge domain, which owns the checkpoint
-               manager; their signature is checked inside the handler. *)
+               pool: this handler already runs on the merge domain, which
+               owns the checkpoint manager, and their signature is checked
+               inside [deliver]. *)
             if dag_id = Replica.control_dag_id then
-              Realtime.post exec (fun () ->
-                  Replica.deliver replica ~dag_id ~src env.Replica.payload)
-            else if dag_id >= 0 && dag_id < k && not (Verify_pool.closed m.mc_pool) then begin
-              let payload = env.Replica.payload in
-              let pool_lane = (rid * k) + dag_id in
-              Verify_pool.submit m.mc_pool ~lane:pool_lane
-                ~work:(fun () ->
-                  (not verify)
-                  ||
-                  (Crypto_cost.pay ~us:(modeled_cost_us payload);
-                   Validation.signatures_ok ~committee payload))
-                ~k:(fun ok ->
-                  if ok then
-                    Realtime.post m.mc_lane_execs.(dag_id) (fun () ->
-                        Replica.deliver replica ~dag_id ~src payload)
-                  else m.mc_rejects.(pool_lane) <- m.mc_rejects.(pool_lane) + 1)
+              Replica.deliver replica ~dag_id ~src env.Replica.payload
+            else if dag_id >= 0 && dag_id < k then begin
+              (* Handler and {!Verify_pool.shutdown} both run on the main
+                 domain, so the [closed] check cannot race the shutdown. A
+                 message delivered in the quiesce window after it (a lane's
+                 last sends, drained by {!run}'s final loop slice) is
+                 dropped and counted; a post-shutdown submit would raise. *)
+              if Verify_pool.closed m.mc_pool then
+                Telemetry.incr_named telemetry "node.late_drops"
+              else begin
+                let payload = env.Replica.payload in
+                let pool_lane = (rid * k) + dag_id in
+                Verify_pool.submit m.mc_pool ~lane:pool_lane
+                  ~work:(fun () ->
+                    (not verify)
+                    ||
+                    (Crypto_cost.pay ~us:(modeled_cost_us payload);
+                     Validation.signatures_ok ~committee payload))
+                  ~k:(fun ok ->
+                    if ok then
+                      Realtime.post m.mc_lane_execs.(dag_id) (fun () ->
+                          Replica.deliver replica ~dag_id ~src payload)
+                    else m.mc_rejects.(pool_lane) <- m.mc_rejects.(pool_lane) + 1)
+              end
             end))
       t.replicas);
   t
@@ -421,8 +412,9 @@ let run t ~duration_ms =
     (* Quiesce order matters: drain the pool first so its completions land
        on still-running lane executors, then stop and join the lanes, then
        drive the main loop briefly so merge closures the lanes posted in
-       their final moments still reach the global log. After this, no
-       other domain is running. *)
+       their final moments still reach the global log (their last sends
+       reach the handler too, and count as [node.late_drops]). After this,
+       no other domain is running. *)
     Verify_pool.shutdown m.mc_pool;
     Array.iter Realtime.stop_and_join m.mc_lane_execs;
     Realtime.run_for t.exec ~duration_ms:50.0
@@ -450,8 +442,7 @@ let recover_replica ?wipe t i =
 
 let catching_up t i = t.recovering.(i) || Replica.catching_up t.replicas.(i)
 let executor t = t.exec
-let tcp_ports t = Option.map Tcp.ports t.tcp
-let tcp_net_stats t = Option.map Tcp.net_stats t.tcp
+let stream t = t.stream
 let backend t = t.backend
 let replicas t = t.replicas
 let metrics t = t.metrics

@@ -4,8 +4,8 @@
     This is the sans-I/O payoff made concrete — {!Cluster} and [Node] build
     the {e identical} protocol objects and differ only in the
     {!Shoalpp_backend.Backend} they pass in: the deterministic simulator
-    there, {!Shoalpp_backend.Backend_realtime} here (in-process loopback or
-    Unix-domain sockets with length-prefixed signed messages).
+    there, {!Shoalpp_backend.Backend_realtime} here (in-process loopback, or
+    TCP / Unix-domain sockets with length-prefixed signed messages).
 
     All replicas live in this process today; nothing in the harness or the
     wire format assumes it.
@@ -15,7 +15,10 @@
       telemetry are constructed exactly as under the simulator;
     - {!audit} applies the same safety checks as the simulated cluster's:
       pairwise common-prefix agreement of the replicas' ordered logs and
-      no transaction ordered twice by one replica. *)
+      no transaction ordered twice by one replica;
+    - at any [domains] value every transport handler runs on the main
+      executor's loop; lane domains reach the transport only through
+      {!Shoalpp_backend.Backend_realtime.post}. *)
 
 type transport =
   | Inproc  (** in-process loopback; nothing is serialized *)
@@ -24,10 +27,11 @@ type transport =
           the codec (encode, frame, decode + signature re-check) *)
   | Tcp of int
       (** TCP on 127.0.0.1, replica [i] listening on [base_port + i]
-          ([0] lets the kernel pick; read back with {!tcp_ports}). Same
-          framing and codec path as [Uds], plus per-peer write coalescing
-          ([setup.coalesce_us]) and lazy reconnect with capped backoff
-          ({!Shoalpp_backend.Tcp_transport}). *)
+          ([0] lets the kernel pick; read back through {!stream}). Both
+          socket transports are one {!Shoalpp_backend.Stream_transport}
+          over different address families: same framing and codec path,
+          per-peer write coalescing ([setup.coalesce_us]) and lazy
+          reconnect with capped backoff. *)
 
 type setup = {
   protocol : Shoalpp_core.Config.t;
@@ -38,8 +42,9 @@ type setup = {
   transport : transport;
   link_delay_ms : float;  (** loopback only: artificial per-message delay *)
   coalesce_us : float;
-      (** TCP only: per-peer write-coalescing latency budget in
-          microseconds; [0] (default) flushes every frame immediately. *)
+      (** Socket transports only ([Uds], [Tcp]): per-peer write-coalescing
+          latency budget in microseconds; [0] (default) flushes every frame
+          immediately. *)
   delays_ms : float array array option;
       (** Optional geography shim: [d.(src).(dst)] one-way milliseconds
           added sender-side to every message, over any transport
@@ -93,7 +98,9 @@ val run : t -> duration_ms:float -> unit
     real milliseconds; stops the clients on return. Can be called again to
     extend the run. With [domains > 1] this also spawns the lane domains
     on entry and quiesces them on exit (pool drained, lanes joined, merge
-    backlog flushed) — after return no other domain is running. *)
+    backlog flushed) — after return no other domain is running. A message
+    delivered once the pool has shut down is dropped and counted in the
+    [node.late_drops] telemetry counter. *)
 
 val stop : t -> unit
 (** Make a concurrent {!run} return after its current iteration. *)
@@ -116,14 +123,9 @@ val catching_up : t -> int -> bool
 
 val executor : t -> Shoalpp_backend.Backend_realtime.t
 
-val tcp_ports : t -> int array option
-(** Listening ports of the TCP transport, [None] unless
-    [setup.transport = Tcp _]. Resolved after bind, so meaningful with
-    [Tcp 0]. *)
-
-val tcp_net_stats : t -> Shoalpp_backend.Tcp_transport.net_stats option
-(** Coalescing / reconnect counters of the TCP transport ([None]
-    otherwise). *)
+val stream : t -> Shoalpp_core.Replica.envelope Shoalpp_backend.Stream_transport.t option
+(** The socket transport ([None] for [Inproc]): its resolved listen
+    addresses and coalescing / reconnect counters. *)
 
 val backend : t -> Shoalpp_core.Replica.envelope Shoalpp_backend.Backend.t
 val replicas : t -> Shoalpp_core.Replica.t array

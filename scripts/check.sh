@@ -51,6 +51,11 @@ sh scripts/tsan.sh
 
 dune runtest
 
+# Flake gate: the multicore and stream-transport suites must stay green
+# across 10 reruns under CPU contention (a concurrent second copy), since
+# their lifecycle paths (shutdown, reconnect) are where timing bugs hide.
+sh scripts/flake_gate.sh 10
+
 # odoc is optional in the dev image; when present, the rendered docs must
 # build cleanly (every .mli carries a doc comment the build will parse).
 if command -v odoc >/dev/null 2>&1; then
@@ -220,6 +225,23 @@ grep -Eq 'tcp: [1-9][0-9]* flushes, [1-9][0-9]* coalesced frames' "$out/tcp.out"
 grep -q 'commit sequence: consistent' "$out/tcp_report.txt" \
   || { echo "check failed: tcp analyzer consistency line missing" >&2; exit 1; }
 
+# UDS transport smoke: the same stream transport over Unix-domain sockets
+# (ADDR_UNIX), mirroring the TCP smoke — audit clean, write coalescing
+# engaged, and zero commit-sequence divergence in the trace analyzer.
+./_build/default/bin/shoalpp_node.exe \
+  -n 4 --transport uds --coalesce-us 500 \
+  --duration 4000 --load 300 --no-verify \
+  --trace-out "$out/uds.jsonl" > "$out/uds.out" 2>&1 \
+  || { echo "check failed: uds node run failed" >&2; cat "$out/uds.out" >&2; exit 1; }
+grep -q 'audit: consistent logs, no duplicates' "$out/uds.out" \
+  || { echo "check failed: uds node audit line missing" >&2; exit 1; }
+grep -Eq 'uds: [1-9][0-9]* flushes, [1-9][0-9]* coalesced frames' "$out/uds.out" \
+  || { echo "check failed: uds coalescing never engaged" >&2; cat "$out/uds.out" >&2; exit 1; }
+./_build/default/tools/trace/shoalpp_trace.exe "$out/uds.jsonl" > "$out/uds_report.txt" \
+  || { echo "check failed: uds commit sequences diverged" >&2; cat "$out/uds_report.txt" >&2; exit 1; }
+grep -q 'commit sequence: consistent' "$out/uds_report.txt" \
+  || { echo "check failed: uds analyzer consistency line missing" >&2; exit 1; }
+
 # Geography smoke: n=10 over TCP with the paper's gcp10 delay matrix
 # applied per link (kernel-assigned ports). The run must pass its safety
 # audit under realistic heterogeneous latencies; the exit code carries it.
@@ -371,4 +393,4 @@ else
     || { echo "check failed: BENCH_perf.json has no passing audit" >&2; exit 1; }
 fi
 
-echo "check: build + tests + docs + observability/scenario + node + live scrape + trace analysis + multicore + tcp + gcp10 shim + node bench + perf smoke OK"
+echo "check: build + tests + flake gate + docs + observability/scenario + node + live scrape + trace analysis + multicore + tcp + uds + gcp10 shim + node bench + perf smoke OK"

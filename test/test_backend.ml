@@ -13,6 +13,7 @@
 module Backend = Shoalpp_backend.Backend
 module Backend_sim = Shoalpp_backend.Backend_sim
 module Realtime = Shoalpp_backend.Backend_realtime
+module Stream = Shoalpp_backend.Stream_transport
 module Engine = Shoalpp_sim.Engine
 module E = Shoalpp_runtime.Experiment
 module Report = Shoalpp_runtime.Report
@@ -125,34 +126,34 @@ let test_realtime_clock_monotonic () =
 let test_framing_roundtrip_chunked () =
   let frames = [ (0, "hello"); (3, ""); (200, String.make 1000 'x') ] in
   let stream =
-    String.concat "" (List.map (fun (src, p) -> Realtime.Framing.frame ~src p) frames)
+    String.concat "" (List.map (fun (src, p) -> Stream.Framing.frame ~src p) frames)
   in
   (* All at once. *)
-  let d = Realtime.Framing.decoder () in
-  let all = Realtime.Framing.feed d (Bytes.of_string stream) (String.length stream) in
+  let d = Stream.Framing.decoder () in
+  let all = Stream.Framing.feed d (Bytes.of_string stream) (String.length stream) in
   Alcotest.(check (list (pair int string))) "one chunk" frames all;
   (* Byte by byte: partial frames must buffer across feeds. *)
-  let d = Realtime.Framing.decoder () in
+  let d = Stream.Framing.decoder () in
   let got = ref [] in
   String.iter
-    (fun c -> List.iter (fun f -> got := f :: !got) (Realtime.Framing.feed d (Bytes.make 1 c) 1))
+    (fun c -> List.iter (fun f -> got := f :: !got) (Stream.Framing.feed d (Bytes.make 1 c) 1))
     stream;
   Alcotest.(check (list (pair int string))) "byte at a time" frames (List.rev !got)
 
 let test_framing_rejects_corrupt_stream () =
-  let d = Realtime.Framing.decoder () in
+  let d = Stream.Framing.decoder () in
   (* A length prefix of 0xFFFFFFFF: far over the 64 MiB body bound. *)
   let junk = Bytes.make 4 '\xff' in
-  (match Realtime.Framing.feed d junk 4 with
+  (match Stream.Framing.feed d junk 4 with
   | _ -> Alcotest.fail "expected Malformed on oversized frame"
   | exception Wire.Reader.Malformed _ -> ());
   (* A plausible length followed by a body that is not a Wire message. *)
-  let d = Realtime.Framing.decoder () in
+  let d = Stream.Framing.decoder () in
   let body = "\xff\xff\xff\xff" in
   let framed = Bytes.create (4 + String.length body) in
   Bytes.set_int32_be framed 0 (Int32.of_int (String.length body));
   Bytes.blit_string body 0 framed 4 (String.length body);
-  (match Realtime.Framing.feed d framed (Bytes.length framed) with
+  (match Stream.Framing.feed d framed (Bytes.length framed) with
   | _ -> Alcotest.fail "expected Malformed on corrupt body"
   | exception Wire.Reader.Malformed _ -> ())
 

@@ -21,7 +21,12 @@
      (position [p] of every log holds a lane-[p mod k] segment with
      strictly increasing rounds per lane). Cross-run byte equality is
      not asserted here: which rounds time out under a fault is
-     wall-clock-dependent by design. *)
+     wall-clock-dependent by design;
+
+   - the lifecycle rule: every transport handler runs on the main loop,
+     so a message a foreign domain sends after {!Node.run} has shut the
+     verify pool down is dropped and counted ([node.late_drops]) on the
+     main domain — never a post-shutdown submit raising on the sender. *)
 
 module Verify_pool = Shoalpp_backend.Verify_pool
 module Node = Shoalpp_runtime.Node
@@ -29,6 +34,10 @@ module Report = Shoalpp_runtime.Report
 module Config = Shoalpp_core.Config
 module Replica = Shoalpp_core.Replica
 module Committee = Shoalpp_dag.Committee
+module Types = Shoalpp_dag.Types
+module Backend = Shoalpp_backend.Backend
+module Realtime = Shoalpp_backend.Backend_realtime
+module Telemetry = Shoalpp_support.Telemetry
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -301,6 +310,43 @@ let test_golden_under_crash_fault () =
         [ 0; 1; 2 ])
     [ 1; 4 ]
 
+(* Deterministic, no sleeps and no hooks: after [Node.run] has quiesced
+   the node (pool shut down, lanes joined), a freshly spawned domain sends
+   one lane message through the node's transport. The send only posts to
+   the main loop; driving that loop delivers it to the handler on the main
+   domain, which sees the closed pool and counts exactly one late drop. *)
+let test_late_message_after_shutdown_dropped () =
+  let node, audit, _ = run_node ~domains:2 ~duration_ms:300.0 ~seed:17 () in
+  checkb "run consistent" true audit.Node.consistent_prefixes;
+  let exec = Node.executor node in
+  (* Drain anything the quiesce left queued so the baseline is settled. *)
+  Realtime.run_for exec ~duration_ms:20.0;
+  let late () = Telemetry.get_counter (Node.telemetry node) "node.late_drops" in
+  let before = late () in
+  let env =
+    {
+      Replica.dag_id = 0;
+      payload =
+        Types.Fetch_request
+          {
+            wanted =
+              {
+                Types.ref_round = 1;
+                ref_author = 0;
+                ref_digest = Shoalpp_crypto.Digest32.of_string "late";
+              };
+            requester = 1;
+          };
+    }
+  in
+  let transport = (Node.backend node).Backend.transport in
+  let sender =
+    Domain.spawn (fun () -> transport.Backend.Transport.send ~src:1 ~dst:0 ~size:64 env)
+  in
+  Domain.join sender;
+  Realtime.run_for exec ~duration_ms:20.0;
+  checki "exactly one late drop counted on the main loop" 1 (late () - before)
+
 let suite =
   [
     ( "multicore",
@@ -319,5 +365,7 @@ let suite =
           test_golden_domains_1_vs_4;
         Alcotest.test_case "golden: crash fault, both domain counts safe" `Slow
           test_golden_under_crash_fault;
+        Alcotest.test_case "lifecycle: late message after shutdown dropped" `Quick
+          test_late_message_after_shutdown_dropped;
       ] );
   ]

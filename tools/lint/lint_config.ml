@@ -106,7 +106,7 @@ let default =
         "lib/sync/sync.ml";
         (* socket emission: frame batches feed the wire, whose bytes the
            cross-transport golden test compares — iteration must be stable *)
-        "lib/backend/tcp_transport.ml";
+        "lib/backend/stream_transport.ml";
         (* commit paths that emit to the trace and the replica log *)
         "lib/baselines/jolteon.ml";
         "lib/baselines/mysticeti.ml";
