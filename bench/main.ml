@@ -16,7 +16,7 @@
      dune exec bench/main.exe node        # realtime node vs --domains -> BENCH_node.json
      dune exec bench/main.exe net         # sim vs realtime TCP+gcp10 -> BENCH_net.json
      dune exec bench/main.exe mem         # retention vs checkpoint interval -> BENCH_mem.json
-     dune exec bench/main.exe micro       # bechamel micro-benchmarks
+     dune exec bench/main.exe micro       # ns/op + words/op, hot path at n=50 -> BENCH_micro.json
    Environment: BENCH_N (replicas, default 16), BENCH_DURATION_S (default 20).
 
    Numbers will not match the paper's absolute values (its testbed is 100
@@ -1013,15 +1013,45 @@ let net_bench () =
   note "wrote %s\n" out
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks for the substrate. *)
+(* Bechamel micro-benchmarks for the substrate and for the per-message
+   receive path at n=50 (a proposal with 34 = n-f parents, its
+   certificate, the segment it anchors). Each row reports ns/op and minor
+   words/op (OLS estimates per run), is printed and written to
+   BENCH_MICRO_OUT (default BENCH_micro.json). BENCH_MICRO_BASELINE names
+   an earlier output of this bench (e.g. from the parent commit): its rows
+   are embedded as the baseline and each shared operation gets its
+   before/after ratios. *)
+
+(* Bechamel's own minor-allocation instance reads [Gc.quick_stat], whose
+   [minor_words] only advances at minor collections on OCaml 5, so
+   operations allocating less than a minor heap per sample read as zero.
+   The same measure over [Gc.minor_words] is exact at any point. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "mnw"
+end
+
+let minor_words =
+  Bechamel.Measure.instance (module Minor_words) (Bechamel.Measure.register (module Minor_words))
 
 let micro () =
   section "Micro-benchmarks (bechamel)";
   let open Bechamel in
   let open Toolkit in
-  let committee = Shoalpp_dag.Committee.make ~n:16 () in
+  let module Json = Shoalpp_runtime.Export.Json in
   let module Types = Shoalpp_dag.Types in
   let module Batch = Shoalpp_workload.Batch in
+  let module Committee = Shoalpp_dag.Committee in
+  let module Signer = Shoalpp_crypto.Signer in
+  let module Multisig = Shoalpp_crypto.Multisig in
+  let module Digest32 = Shoalpp_crypto.Digest32 in
+  let committee = Committee.make ~n:50 ~cluster_seed:1 () in
   let payload_1k = String.make 1024 'x' in
   let batch =
     Batch.make
@@ -1030,59 +1060,132 @@ let micro () =
              Shoalpp_workload.Transaction.make ~id ~submitted_at:0.0 ~origin:0 ()))
       ~created_at:0.0
   in
-  let kp = Shoalpp_dag.Committee.keypair committee 0 in
-  let node =
+  let make_node ~round ~author ~batch ~parents =
     let digest =
-      Types.node_digest ~round:0 ~author:0 ~batch_digest:batch.Batch.digest ~parents:[]
-        ~weak_parents:[]
+      Types.node_digest ~round ~author ~batch_digest:batch.Batch.digest ~parents ~weak_parents:[]
     in
     {
-      Types.round = 0;
-      author = 0;
+      Types.round;
+      author;
       batch;
-      parents = [];
+      parents;
       weak_parents = [];
       digest;
-      signature = Shoalpp_crypto.Signer.sign kp (Shoalpp_crypto.Digest32.raw digest);
+      signature = Signer.sign (Committee.keypair committee author) (Digest32.raw digest);
       created_at = 0.0;
     }
   in
-  let encoded = Types.encode_message (Types.Proposal node) in
-  let sigs =
-    List.init 11 (fun i ->
-        let kp = Shoalpp_dag.Committee.keypair committee i in
-        (i, Shoalpp_crypto.Signer.sign kp "m"))
+  let proposal_500tx = make_node ~round:0 ~author:0 ~batch ~parents:[] in
+  let encoded = Types.encode_message (Types.Proposal proposal_500tx) in
+  let parents =
+    List.init 34 (fun author ->
+        {
+          Types.ref_round = 6;
+          ref_author = author;
+          ref_digest = Digest32.of_string (string_of_int author);
+        })
   in
+  let node = make_node ~round:7 ~author:40 ~batch:(Batch.empty ~created_at:0.0) ~parents in
+  let msg = Digest32.raw node.Types.digest in
+  let kp = Committee.keypair committee 40 in
+  let signature = Signer.sign kp msg in
+  let preimage = Types.vote_preimage ~round:7 ~author:40 ~digest:node.Types.digest in
+  let votes = List.init 34 (fun i -> (i, Signer.sign (Committee.keypair committee i) preimage)) in
+  let cert = { Types.cert_ref = Types.ref_of_node node; multisig = Multisig.aggregate ~n:50 votes } in
+  let encoded_cert = Types.encode_message (Types.Certificate cert) in
+  let segment = List.init 50 (fun _ -> { Types.cn_node = node; cn_cert = cert }) in
+  let rep = Shoalpp_consensus.Reputation.create ~n:50 ~enabled:true () in
+  let anchor_round = ref 0 in
+  let sigs_11 = List.filteri (fun i _ -> i < 11) votes in
+  let op name f = Test.make ~name (Staged.stage f) in
   let tests =
     Test.make_grouped ~name:"substrate"
       [
-        Test.make ~name:"sha256-1KiB"
-          (Staged.stage (fun () -> ignore (Shoalpp_crypto.Sha256.digest_string payload_1k)));
-        Test.make ~name:"batch-digest-500tx"
-          (Staged.stage (fun () -> ignore (Batch.make ~txns:batch.Batch.txns ~created_at:0.0)));
-        Test.make ~name:"sign"
-          (Staged.stage (fun () -> ignore (Shoalpp_crypto.Signer.sign kp "message")));
-        Test.make ~name:"multisig-aggregate-11"
-          (Staged.stage (fun () -> ignore (Shoalpp_crypto.Multisig.aggregate ~n:16 sigs)));
-        Test.make ~name:"encode-proposal-500tx"
-          (Staged.stage (fun () -> ignore (Types.encode_message (Types.Proposal node))));
-        Test.make ~name:"decode-proposal-500tx"
-          (Staged.stage (fun () -> ignore (Types.decode_message ~cluster_seed:0 encoded)));
+        op "sha256-1KiB" (fun () -> ignore (Shoalpp_crypto.Sha256.digest_string payload_1k));
+        op "batch-digest-500tx" (fun () -> ignore (Batch.make ~txns:batch.Batch.txns ~created_at:0.0));
+        op "multisig-aggregate-11" (fun () -> ignore (Multisig.aggregate ~n:50 sigs_11));
+        op "encode-proposal-500tx" (fun () -> ignore (Types.encode_message (Types.Proposal proposal_500tx)));
+        op "decode-proposal-500tx" (fun () -> ignore (Types.decode_message encoded));
+        op "validate-proposal-34-parents" (fun () ->
+            ignore (Shoalpp_dag.Validation.validate_proposal ~committee ~verify_signatures:true node));
+        op "sign" (fun () -> ignore (Signer.sign kp msg));
+        op "verify" (fun () -> ignore (Signer.verify committee.Committee.keys 40 msg signature));
+        op "multisig-verify-34" (fun () ->
+            ignore (Multisig.verify committee.Committee.keys cert.Types.multisig preimage));
+        op "observe-segment" (fun () ->
+            incr anchor_round;
+            Shoalpp_consensus.Reputation.observe_segment rep ~anchor_round:!anchor_round ~anchor:40
+              ~parents ~nodes:segment);
+        op "decode-certificate" (fun () -> ignore (Types.decode_message encoded_cert));
       ]
   in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
+  let instances = [ Instance.monotonic_clock; minor_words ] in
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   let raw = Benchmark.all cfg instances tests in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Shoalpp_support.Sorted_tbl.bindings ~cmp:String.compare results
-    |> List.filter_map (fun (name, result) ->
-           match Analyze.OLS.estimates result with
-           | Some [ est ] -> Some [ name; Printf.sprintf "%.0f ns/op" est ]
-           | _ -> None)
+  let clock = Analyze.all ols Instance.monotonic_clock raw in
+  let alloc = Analyze.all ols minor_words raw in
+  let estimate results name =
+    match Option.map Analyze.OLS.estimates (Hashtbl.find_opt results name) with
+    | Some (Some [ est ]) -> est
+    | _ -> Float.nan
   in
-  Tablefmt.print ~header:[ "operation"; "time" ] rows
+  let rows =
+    List.map
+      (fun (name, _) -> (name, estimate clock name, Float.max 0.0 (estimate alloc name)))
+      (Shoalpp_support.Sorted_tbl.bindings ~cmp:String.compare raw)
+  in
+  Tablefmt.print ~header:[ "operation"; "time"; "allocation" ]
+    (List.map
+       (fun (name, ns, words) ->
+         [ name; Printf.sprintf "%.0f ns/op" ns; Printf.sprintf "%.0f words/op" words ])
+       rows);
+  let row_json (name, ns, words) =
+    Json.Obj
+      [ ("operation", Json.Str name); ("ns_per_op", Json.Float ns); ("words_per_op", Json.Float words) ]
+  in
+  let baseline =
+    Option.bind (Sys.getenv_opt "BENCH_MICRO_BASELINE") (fun path ->
+        let ic = open_in_bin path in
+        let text = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        Json.parse text)
+  in
+  let change =
+    match Option.bind baseline (Json.member "rows") with
+    | Some (Json.List base_rows) ->
+      let f k j = Option.bind (Json.member k j) Json.to_float_opt in
+      let ratios =
+        List.filter_map
+          (fun (name, ns, words) ->
+            List.find_opt
+              (fun b -> Option.bind (Json.member "operation" b) Json.to_string_opt = Some name)
+              base_rows
+            |> Option.map (fun b ->
+                   let ratio now k =
+                     match f k b with Some v when v > 0.0 -> Json.Float (now /. v) | _ -> Json.Null
+                   in
+                   ( name,
+                     Json.Obj
+                       [ ("ns_ratio", ratio ns "ns_per_op"); ("words_ratio", ratio words "words_per_op") ]
+                   )))
+          rows
+      in
+      [ ("change", Json.Obj ratios) ]
+    | _ -> []
+  in
+  let doc =
+    Json.Obj
+      ([ ("schema", Json.Str "shoalpp-bench-micro/1"); ("rows", Json.List (List.map row_json rows)) ]
+      @ change
+      @ match baseline with Some b -> [ ("baseline", b) ] | None -> [])
+  in
+  let out = Option.value ~default:"BENCH_micro.json" (Sys.getenv_opt "BENCH_MICRO_OUT") in
+  let oc = open_out out in
+  output_string oc (Json.to_string doc);
+  output_char oc '\n';
+  close_out oc;
+  note "wrote %s\n" out
 
 let () =
   Shoalpp_baselines.Register.register ();

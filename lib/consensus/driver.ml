@@ -382,24 +382,14 @@ let output_segment t ~round ~author ~kind ~finish =
         nodes;
       (* The ordered set grew: any memoized history is now stale. *)
       t.history_cache <- None;
-      let positions =
-        List.map
-          (fun (cn : Types.certified_node) ->
-            (cn.Types.cn_node.Types.round, cn.Types.cn_node.Types.author))
-          nodes
-      in
       (* Reputation credit goes to the anchor and its strong parents — the
          replicas whose timely references committed it. *)
-      let supporters =
+      let parents =
         match Store.get t.store ~round ~author with
-        | Some anchor_cn ->
-          author
-          :: List.map
-               (fun (p : Types.node_ref) -> p.Types.ref_author)
-               anchor_cn.Types.cn_node.Types.parents
-        | None -> [ author ]
+        | Some anchor_cn -> anchor_cn.Types.cn_node.Types.parents
+        | None -> []
       in
-      Reputation.observe_segment t.rep ~anchor_round:round ~supporters ~node_positions:positions;
+      Reputation.observe_segment t.rep ~anchor_round:round ~anchor:author ~parents ~nodes;
       let time = t.hooks.now () in
       (match kind with
       | Fast ->

@@ -1,3 +1,5 @@
+module Types = Shoalpp_dag.Types
+
 type t = {
   n : int;
   window : int;
@@ -9,6 +11,8 @@ type t = {
   recent : int list Queue.t; (* per-segment supporter lists, oldest first *)
   miss_threshold : int;
   miss : int array; (* consecutive skipped-anchor streak per author *)
+  supporting : bool array;
+      (* scratch for [observe_segment]'s dedup; all false between calls *)
   mutable highest_anchor_round : int;
 }
 
@@ -24,6 +28,7 @@ let create ~n ?(window = 64) ?(staleness = 8) ?(miss_threshold = 2) ~enabled () 
     recent = Queue.create ();
     miss_threshold;
     miss = Array.make n 0;
+    supporting = Array.make n false;
     highest_anchor_round = -1;
   }
 
@@ -31,28 +36,52 @@ let create ~n ?(window = 64) ?(staleness = 8) ?(miss_threshold = 2) ~enabled () 
    parents — is the signal that a replica is currently fast and well
    connected. Stragglers' nodes are swept into histories late via weak
    edges, which must NOT earn anchor candidacy, or the skip cascade of
-   §5.2 fires on them (and indirect resolution can wedge on them). *)
-let observe_segment t ~anchor_round ~supporters ~node_positions =
+   §5.2 fires on them (and indirect resolution can wedge on them).
+
+   This runs once per ordered segment, so it walks the segment's own lists
+   instead of building (round, author) pairs, and dedupes supporters
+   through the [supporting] marks: the scan over 0..n-1 yields the same
+   ascending, in-range, duplicate-free list as sorting would, and that list
+   is the only allocation. *)
+let rec note_ordered t = function
+  | [] -> ()
+  | (cn : Types.certified_node) :: rest ->
+    let round = cn.Types.cn_node.Types.round and author = cn.Types.cn_node.Types.author in
+    if author >= 0 && author < t.n && round > t.last_round.(author) then
+      t.last_round.(author) <- round;
+    note_ordered t rest
+
+let mark t a = if a >= 0 && a < t.n then t.supporting.(a) <- true
+
+let rec mark_parents t = function
+  | [] -> ()
+  | (p : Types.node_ref) :: rest ->
+    mark t p.Types.ref_author;
+    mark_parents t rest
+
+let rec uncredit t = function
+  | [] -> ()
+  | a :: rest ->
+    t.scores.(a) <- t.scores.(a) - 1;
+    uncredit t rest
+
+let observe_segment t ~anchor_round ~anchor ~parents ~nodes =
   if anchor_round > t.highest_anchor_round then t.highest_anchor_round <- anchor_round;
-  List.iter
-    (fun (round, author) ->
-      if author >= 0 && author < t.n && round > t.last_round.(author) then
-        t.last_round.(author) <- round)
-    node_positions;
-  let supporters =
-    List.sort_uniq Int.compare (List.filter (fun a -> a >= 0 && a < t.n) supporters)
-  in
-  List.iter
-    (fun a ->
+  note_ordered t nodes;
+  mark t anchor;
+  mark_parents t parents;
+  let supporters = ref [] in
+  for a = t.n - 1 downto 0 do
+    if t.supporting.(a) then begin
+      t.supporting.(a) <- false;
+      supporters := a :: !supporters;
       t.scores.(a) <- t.scores.(a) + 1;
       t.miss.(a) <- 0;
-      if anchor_round > t.last_support.(a) then t.last_support.(a) <- anchor_round)
-    supporters;
-  Queue.push supporters t.recent;
-  if Queue.length t.recent > t.window then begin
-    let evicted = Queue.pop t.recent in
-    List.iter (fun a -> t.scores.(a) <- t.scores.(a) - 1) evicted
-  end
+      if anchor_round > t.last_support.(a) then t.last_support.(a) <- anchor_round
+    end
+  done;
+  Queue.push !supporters t.recent;
+  if Queue.length t.recent > t.window then uncredit t (Queue.pop t.recent)
 
 (* A skipped anchor is part of the committed prefix (the Skip_to decision is
    final and agreed), so penalizing it keeps the scheme a deterministic

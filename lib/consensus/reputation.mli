@@ -35,10 +35,17 @@ val create :
     two misses and re-enters once it supports a segment again). *)
 
 val observe_segment :
-  t -> anchor_round:int -> supporters:int list -> node_positions:(int * int) list -> unit
-(** Feed one ordered segment, in commit order. [supporters] = the anchor's
-    author plus the authors of its strong parents; [node_positions] = the
-    (round, author) of every node the segment ordered (activity tracking). *)
+  t ->
+  anchor_round:int ->
+  anchor:int ->
+  parents:Shoalpp_dag.Types.node_ref list ->
+  nodes:Shoalpp_dag.Types.certified_node list ->
+  unit
+(** Feed one ordered segment, in commit order. The supporters are [anchor]
+    (the anchor's author) plus the authors of [parents] (its strong
+    parents), each counted once and out-of-range ids ignored; [nodes] are
+    the nodes the segment ordered (activity tracking). Allocates only the
+    stored supporter list and its window entry. *)
 
 val eligible : t -> round:int -> slot:int -> int list
 (** Deterministic candidate vector for a round. [slot] drives round-robin

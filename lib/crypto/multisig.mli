@@ -3,9 +3,11 @@
     aggregated into one certificate).
 
     Aggregation combines the individual HMAC signatures by hashing them in
-    signer order; verification recomputes each signer's expected signature,
-    mirroring how a real BLS verifier checks the aggregate against the
-    aggregated public key. Wire size is modeled as one BLS signature plus the
+    signer order; verification recomputes each signer's expected signature
+    from the {!Signer.registry}, mirroring how a real BLS verifier checks
+    the aggregate against the aggregated public key. The 32-byte combined
+    hash travels on the wire ({!combined}/{!of_wire}) and a decoder never
+    recomputes it. Wire size is modeled as one BLS signature plus the
     bitmap, matching the paper's certificate sizes.
 
     Invariants:
@@ -24,8 +26,19 @@ val aggregate : n:int -> (Signer.public * Signer.signature) list -> t
 val signers : t -> Shoalpp_support.Bitset.t
 val num_signers : t -> int
 
-val verify : cluster_seed:int -> t -> string -> bool
-(** All contained signatures must verify over the message. *)
+val combined : t -> string
+(** The 32-byte combined hash: what the wire carries besides the bitmap. *)
+
+val of_wire : n:int -> signers:int list -> combined:string -> t
+(** Rebuild a decoded aggregate as-is; only {!verify} can tell whether the
+    signers really signed.
+    @raise Invalid_argument on duplicate or out-of-range signers, or a
+    combined hash that is not 32 bytes. *)
+
+val verify : Signer.registry -> t -> string -> bool
+(** Every signer in the bitmap is in the registry and the combined hash is
+    that of their signatures over the message. Allocates a fixed amount,
+    independent of the number of signers. *)
 
 val wire_size : t -> int
 (** Modeled bytes: 48-byte aggregate + ceil(n/8) bitmap. *)

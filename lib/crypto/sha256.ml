@@ -116,31 +116,39 @@ let feed_sub ctx src off len =
 let feed_bytes ctx b = feed_sub ctx b 0 (Bytes.length b)
 let feed_string ctx s = feed_sub ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
-let finalize ctx =
+(* Pad the buffered tail in place and run the final compression(s): the
+   digest is left in [ctx.h], nothing is allocated. *)
+let pad ctx =
   if ctx.finalized then invalid_arg "Sha256: context already finalized";
   let bit_len = ctx.total * 8 in
-  (* Padding: 0x80, zeros, 64-bit big-endian length. *)
-  let pad_len =
-    let rem = (ctx.total + 1 + 8) mod 64 in
-    if rem = 0 then 1 else 1 + (64 - rem)
-  in
-  let pad = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set pad 0 '\x80';
+  let buf = ctx.buf in
+  Bytes.set buf ctx.buf_len '\x80';
+  Bytes.fill buf (ctx.buf_len + 1) (63 - ctx.buf_len) '\000';
+  if ctx.buf_len >= 56 then begin
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end;
   for i = 0 to 7 do
-    Bytes.set pad (pad_len + i) (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xff))
+    Bytes.set buf (56 + i) (Char.unsafe_chr ((bit_len lsr (8 * (7 - i))) land 0xff))
   done;
-  let total_before = ctx.total in
-  feed_sub ctx pad 0 (Bytes.length pad);
-  ctx.total <- total_before;
-  ctx.finalized <- true;
+  compress ctx buf 0;
+  ctx.buf_len <- 0;
+  ctx.finalized <- true
+
+(* Big-endian serialization of the 8 state words into [out] at [off]. *)
+let write_state h out off =
+  for i = 0 to 7 do
+    let v = h.(i) in
+    Bytes.set out (off + (4 * i)) (Char.unsafe_chr ((v lsr 24) land 0xff));
+    Bytes.set out (off + (4 * i) + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
+    Bytes.set out (off + (4 * i) + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
+    Bytes.set out (off + (4 * i) + 3) (Char.unsafe_chr (v land 0xff))
+  done
+
+let finalize ctx =
+  pad ctx;
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
-  done;
+  write_state ctx.h out 0;
   Bytes.unsafe_to_string out
 
 let digest_string s =
@@ -148,16 +156,50 @@ let digest_string s =
   feed_string ctx s;
   finalize ctx
 
-let hmac ~key msg =
-  let block = 64 in
-  let key = if String.length key > block then digest_string key else key in
-  let pad fill =
-    let b = Bytes.make block fill in
-    String.iteri (fun i c -> Bytes.set b i (Char.chr (Char.code c lxor Char.code fill))) key;
-    Bytes.unsafe_to_string b
+(* HMAC (RFC 2104) with the key absorbed once: [inner]/[outer] are the
+   chaining values after compressing the key block XOR ipad/opad, so a
+   MAC costs the message blocks plus one outer block. *)
+type hmac_key = { inner : int array; outer : int array }
+
+let hmac_key key =
+  let key = if String.length key > 64 then digest_string key else key in
+  let block = Bytes.create 64 in
+  let midstate fill =
+    Bytes.fill block 0 64 fill;
+    String.iteri
+      (fun i c -> Bytes.set block i (Char.unsafe_chr (Char.code c lxor Char.code fill)))
+      key;
+    let ctx = init () in
+    compress ctx block 0;
+    ctx.h
   in
-  let ipad = pad '\x36' and opad = pad '\x5c' in
-  digest_string (opad ^ digest_string (ipad ^ msg))
+  let inner = midstate '\x36' in
+  { inner; outer = midstate '\x5c' }
+
+(* Restart [ctx] from a keyed midstate: one 64-byte key block absorbed. *)
+let restart ctx state ~buffered =
+  Array.blit state 0 ctx.h 0 8;
+  ctx.buf_len <- buffered;
+  ctx.total <- 64 + buffered;
+  ctx.finalized <- false
+
+let hmac_into key ctx msg out =
+  restart ctx key.inner ~buffered:0;
+  feed_string ctx msg;
+  pad ctx;
+  (* The inner digest is the whole outer message: it goes straight into
+     the block buffer of the same context. *)
+  write_state ctx.h ctx.buf 0;
+  restart ctx key.outer ~buffered:32;
+  pad ctx;
+  write_state ctx.h out 0
+
+let hmac_keyed key msg =
+  let out = Bytes.create 32 in
+  hmac_into key (init ()) msg out;
+  Bytes.unsafe_to_string out
+
+let hmac ~key msg = hmac_keyed (hmac_key key) msg
 
 let to_hex raw =
   let buf = Buffer.create (2 * String.length raw) in

@@ -51,16 +51,19 @@ let slot t round =
 
 let slot_opt t round = Hashtbl.find_opt t.rounds round
 
-let bump_parent_counters t (node : Types.node) which =
-  List.iter
-    (fun (p : Types.node_ref) ->
-      if p.Types.ref_round >= t.lowest then begin
-        let s = slot t p.Types.ref_round in
-        match which with
-        | `Cert -> s.cert_refs.(p.Types.ref_author) <- s.cert_refs.(p.Types.ref_author) + 1
-        | `Weak -> s.weak.(p.Types.ref_author) <- s.weak.(p.Types.ref_author) + 1
-      end)
-    node.Types.parents
+(* Strong parents all sit in round r-1, so the round slot is looked up
+   once per node and reused while consecutive parents share its round.
+   [round]/[s] start as the node's own slot, which the caller already
+   holds. Parents below the GC floor are skipped. *)
+let rec bump_parent_counters t ~cert ~round s = function
+  | [] -> ()
+  | (p : Types.node_ref) :: rest when p.Types.ref_round < t.lowest ->
+    bump_parent_counters t ~cert ~round s rest
+  | (p : Types.node_ref) :: rest ->
+    let s = if p.Types.ref_round = round then s else slot t p.Types.ref_round in
+    let counts = if cert then s.cert_refs else s.weak in
+    counts.(p.Types.ref_author) <- counts.(p.Types.ref_author) + 1;
+    bump_parent_counters t ~cert ~round:p.Types.ref_round s rest
 
 let add_certified t (cn : Types.certified_node) =
   let node = cn.Types.cn_node in
@@ -70,7 +73,7 @@ let add_certified t (cn : Types.certified_node) =
   | None ->
     s.nodes.(node.Types.author) <- Some cn;
     if node.Types.round > t.highest then t.highest <- node.Types.round;
-    bump_parent_counters t node `Cert;
+    bump_parent_counters t ~cert:true ~round:node.Types.round s node.Types.parents;
     true
 
 let note_proposal t (node : Types.node) =
@@ -78,7 +81,7 @@ let note_proposal t (node : Types.node) =
   if s.proposal_seen.(node.Types.author) then false
   else begin
     s.proposal_seen.(node.Types.author) <- true;
-    bump_parent_counters t node `Weak;
+    bump_parent_counters t ~cert:false ~round:node.Types.round s node.Types.parents;
     true
   end
 

@@ -179,7 +179,18 @@ let write_cert w (c : certificate) =
   write_ref w c.cert_ref;
   let signers = Multisig.signers c.multisig in
   Wire.Writer.uint w (Bitset.capacity signers);
-  Wire.Writer.list w (Wire.Writer.uint w) (Bitset.to_list signers)
+  Wire.Writer.list w (Wire.Writer.uint w) (Bitset.to_list signers);
+  Wire.Writer.raw w (Multisig.combined c.multisig)
+
+(* The aggregate is taken as sent: whether the listed signers really
+   signed is [Validation]'s question, never the decoder's. *)
+let read_cert rd =
+  let cert_ref = read_ref rd in
+  let n = Wire.Reader.uint rd in
+  if n > 0xffff then raise (Wire.Reader.Malformed "certificate committee too large");
+  let signers = Wire.Reader.list rd Wire.Reader.uint in
+  let combined = Wire.Reader.raw rd 32 in
+  { cert_ref; multisig = Multisig.of_wire ~n ~signers ~combined }
 
 let write_sync_request w = function
   | Get_highest_round -> Wire.Writer.u8 w 1
@@ -273,35 +284,18 @@ let encode_message msg =
     write_sync_response w sp_resp);
   Wire.Writer.contents w
 
-(* Decoding rebuilds signatures/multisigs through the registry: since the
-   simulated schemes are deterministic given the cluster seed, a decoded
-   message is bit-equivalent to the original if and only if it is
-   authentic. Structural errors surface as [Error _]. *)
-let read_certified ~cluster_seed rd =
+let read_certified rd =
   let cn_node = read_node rd in
-  let cert_ref = read_ref rd in
-  let cap = Wire.Reader.uint rd in
-  let signers = Wire.Reader.list rd Wire.Reader.uint in
-  let sigs =
-    List.map
-      (fun signer ->
-        let kp = Signer.keygen ~cluster_seed ~replica:signer in
-        ( signer,
-          Signer.sign kp
-            (vote_preimage ~round:cert_ref.ref_round ~author:cert_ref.ref_author
-               ~digest:cert_ref.ref_digest) ))
-      signers
-  in
-  { cn_node; cn_cert = { cert_ref; multisig = Multisig.aggregate ~n:cap sigs } }
+  { cn_node; cn_cert = read_cert rd }
 
-let read_sync_response ~cluster_seed rd =
+let read_sync_response rd =
   match Wire.Reader.u8 rd with
   | 1 ->
     let hr_highest = Wire.Reader.uint rd in
     let hr_lowest = Wire.Reader.uint rd in
     Highest_round { hr_highest; hr_lowest }
   | 2 ->
-    let sc_certs = Wire.Reader.list rd (read_certified ~cluster_seed) in
+    let sc_certs = Wire.Reader.list rd read_certified in
     let sc_has_more = Wire.Reader.u8 rd = 1 in
     let sc_next = Wire.Reader.uint rd in
     Certificates { sc_certs; sc_has_more; sc_next }
@@ -312,7 +306,7 @@ let read_sync_response ~cluster_seed rd =
     Checkpoint_blob { cb_blob }
   | tag -> failwith (Printf.sprintf "unknown sync response tag %d" tag)
 
-let decode_message ~cluster_seed s =
+let decode_message s =
   let rd = Wire.Reader.of_string s in
   try
     let msg =
@@ -325,26 +319,12 @@ let decode_message ~cluster_seed s =
         let voter = Wire.Reader.uint rd in
         let raw = Wire.Reader.raw rd 32 in
         Vote { vote_round; vote_author; vote_digest; voter; vote_signature = Signer.of_raw raw }
-      | 3 ->
-        let cert_ref = read_ref rd in
-        let cap = Wire.Reader.uint rd in
-        let signers = Wire.Reader.list rd Wire.Reader.uint in
-        let sigs =
-          List.map
-            (fun signer ->
-              let kp = Signer.keygen ~cluster_seed ~replica:signer in
-              ( signer,
-                Signer.sign kp
-                  (vote_preimage ~round:cert_ref.ref_round ~author:cert_ref.ref_author
-                     ~digest:cert_ref.ref_digest) ))
-            signers
-        in
-        Certificate { cert_ref; multisig = Multisig.aggregate ~n:cap sigs }
+      | 3 -> Certificate (read_cert rd)
       | 4 ->
         let wanted = read_ref rd in
         let requester = Wire.Reader.uint rd in
         Fetch_request { wanted; requester }
-      | 5 -> Fetch_response (read_certified ~cluster_seed rd)
+      | 5 -> Fetch_response (read_certified rd)
       | 6 ->
         let ck_seq = Wire.Reader.uint rd in
         let ck_digest = Wire.Reader.digest rd in
@@ -356,7 +336,7 @@ let decode_message ~cluster_seed s =
         Sync_request { sq_requester; sq_req = read_sync_request rd }
       | 8 ->
         let sp_responder = Wire.Reader.uint rd in
-        Sync_response { sp_responder; sp_resp = read_sync_response ~cluster_seed rd }
+        Sync_response { sp_responder; sp_resp = read_sync_response rd }
       | tag -> failwith (Printf.sprintf "unknown message tag %d" tag)
     in
     Wire.Reader.expect_end rd;

@@ -123,5 +123,8 @@ val encode_message : message -> string
 (** Reference binary encoding (validated round-trip in tests; the simulator
     passes values in memory and charges for [message_size] bytes). *)
 
-val decode_message : cluster_seed:int -> string -> (message, string) result
-(** Decode and structurally validate; does not check signatures. *)
+val decode_message : string -> (message, string) result
+(** Decode and structurally validate; does not check signatures. A
+    certificate's aggregate is decoded as sent (signer bitmap plus the
+    32-byte combined hash), so a tampered bitmap survives decoding and is
+    rejected by signature validation. *)

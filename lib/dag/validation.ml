@@ -1,69 +1,69 @@
 module Digest32 = Shoalpp_crypto.Digest32
 module Signer = Shoalpp_crypto.Signer
 module Multisig = Shoalpp_crypto.Multisig
+module Bitset = Shoalpp_support.Bitset
 
 let ( let* ) r f = Result.bind r f
 
-(* The error message is only materialized on failure: validation runs on
-   every received message, and eagerly formatting the (almost always
-   discarded) success-path string dominated the simulator's allocation
-   profile. [ikfprintf] consumes the format arguments without building
-   anything. *)
-let check cond fmt =
-  if cond then Printf.ikfprintf (fun () -> Ok ()) () fmt
-  else Printf.ksprintf (fun m -> Error m) fmt
+(* Validation runs on every received message, so the success path must
+   not allocate: no format closures, no seen-set tables. The error string
+   is built by [reject] only once a check has failed. *)
+let reject fmt = Printf.ksprintf (fun m -> Error m) fmt
+let check cond msg = if cond then Ok () else Error msg
+
+let rec strong_parents_ok committee ~round seen = function
+  | [] -> Ok ()
+  | (p : Types.node_ref) :: rest ->
+    if p.Types.ref_round <> round - 1 then
+      reject "parent from round %d, expected %d" p.Types.ref_round (round - 1)
+    else if not (Committee.valid_replica committee p.Types.ref_author) then
+      reject "parent author %d invalid" p.Types.ref_author
+    else if Bitset.mem seen p.Types.ref_author then Error "duplicate parent author"
+    else begin
+      Bitset.set seen p.Types.ref_author;
+      strong_parents_ok committee ~round seen rest
+    end
 
 let validate_parents committee (node : Types.node) =
-  if node.Types.round = 0 then
-    check (node.Types.parents = []) "round-0 node must have no parents"
-  else begin
-    let n_parents = List.length node.Types.parents in
-    let* () =
-      check
-        (n_parents >= Committee.quorum committee)
-        "node has %d parents, need >= %d" n_parents (Committee.quorum committee)
-    in
-    let seen = Hashtbl.create 8 in
-    List.fold_left
-      (fun acc (p : Types.node_ref) ->
-        let* () = acc in
-        let* () =
-          check (p.Types.ref_round = node.Types.round - 1) "parent from round %d, expected %d"
-            p.Types.ref_round (node.Types.round - 1)
-        in
-        let* () =
-          check (Committee.valid_replica committee p.Types.ref_author) "parent author %d invalid"
-            p.Types.ref_author
-        in
-        let* () = check (not (Hashtbl.mem seen p.Types.ref_author)) "duplicate parent author" in
-        Hashtbl.replace seen p.Types.ref_author ();
-        Ok ())
-      (Ok ()) node.Types.parents
-  end
+  match node.Types.parents with
+  | [] when node.Types.round = 0 -> Ok ()
+  | _ when node.Types.round = 0 -> Error "round-0 node must have no parents"
+  | parents ->
+    let n_parents = List.length parents and quorum = Committee.quorum committee in
+    if n_parents < quorum then reject "node has %d parents, need >= %d" n_parents quorum
+    else
+      strong_parents_ok committee ~round:node.Types.round
+        (Bitset.create committee.Committee.n)
+        parents
+
+(* Whether a ref to the same (round, author) as [p] comes before the list
+   cell [cell] in [l]. Weak parents are capped at [Types.max_weak_parents],
+   so the quadratic scan is cheaper than any seen-set. *)
+let rec earlier_duplicate (p : Types.node_ref) cell l =
+  l != cell
+  &&
+  match l with
+  | [] -> false
+  | (q : Types.node_ref) :: rest ->
+    (q.Types.ref_round = p.Types.ref_round && q.Types.ref_author = p.Types.ref_author)
+    || earlier_duplicate p cell rest
+
+let rec weak_parents_ok committee ~round all = function
+  | [] -> Ok ()
+  | (p : Types.node_ref) :: rest as cell ->
+    if not (p.Types.ref_round >= 0 && p.Types.ref_round < round - 1) then
+      reject "weak parent from round %d, need < %d" p.Types.ref_round (round - 1)
+    else if not (Committee.valid_replica committee p.Types.ref_author) then
+      Error "weak parent author invalid"
+    else if earlier_duplicate p cell all then Error "duplicate weak parent"
+    else weak_parents_ok committee ~round all rest
 
 let validate_weak_parents committee (node : Types.node) =
-  let nweak = List.length node.Types.weak_parents in
-  let* () =
-    check (nweak <= Types.max_weak_parents) "%d weak parents, cap is %d" nweak
-      Types.max_weak_parents
-  in
-  let seen = Hashtbl.create 8 in
-  List.fold_left
-    (fun acc (p : Types.node_ref) ->
-      let* () = acc in
-      let* () =
-        check
-          (p.Types.ref_round >= 0 && p.Types.ref_round < node.Types.round - 1)
-          "weak parent from round %d, need < %d" p.Types.ref_round (node.Types.round - 1)
-      in
-      let* () =
-        check (Committee.valid_replica committee p.Types.ref_author) "weak parent author invalid"
-      in
-      let key = (p.Types.ref_round, p.Types.ref_author) in
-      let* () = check (not (Hashtbl.mem seen key)) "duplicate weak parent" in
-      Hashtbl.replace seen key ();
-      Ok ())
-    (Ok ()) node.Types.weak_parents
+  let weak = node.Types.weak_parents in
+  let nweak = List.length weak in
+  if nweak > Types.max_weak_parents then
+    reject "%d weak parents, cap is %d" nweak Types.max_weak_parents
+  else weak_parents_ok committee ~round:node.Types.round weak weak
 
 (* Memo for the digest-binding check. In the simulator one broadcast hands
    the same physical [Types.node] to every receiver, so recomputing the
@@ -122,7 +122,7 @@ let binding_holds (node : Types.node) =
    entry point the verify pool uses to run just the cryptographic part of
    validation on a worker domain. *)
 let proposal_signature_ok ~committee (node : Types.node) =
-  Signer.verify ~cluster_seed:committee.Committee.cluster_seed node.Types.author
+  Signer.verify committee.Committee.keys node.Types.author
     (Digest32.raw node.Types.digest) node.Types.signature
 
 let vote_signature_ok ~committee (v : Types.vote) =
@@ -130,7 +130,7 @@ let vote_signature_ok ~committee (v : Types.vote) =
     Types.vote_preimage ~round:v.Types.vote_round ~author:v.Types.vote_author
       ~digest:v.Types.vote_digest
   in
-  Signer.verify ~cluster_seed:committee.Committee.cluster_seed v.Types.voter preimage
+  Signer.verify committee.Committee.keys v.Types.voter preimage
     v.Types.vote_signature
 
 let certificate_signature_ok ~committee (c : Types.certificate) =
@@ -138,10 +138,10 @@ let certificate_signature_ok ~committee (c : Types.certificate) =
     Types.vote_preimage ~round:c.Types.cert_ref.Types.ref_round
       ~author:c.Types.cert_ref.Types.ref_author ~digest:c.Types.cert_ref.Types.ref_digest
   in
-  Multisig.verify ~cluster_seed:committee.Committee.cluster_seed c.Types.multisig preimage
+  Multisig.verify committee.Committee.keys c.Types.multisig preimage
 
 let checkpoint_vote_signature_ok ~committee ~ck_digest ~ck_voter ~ck_signature =
-  Signer.verify ~cluster_seed:committee.Committee.cluster_seed ck_voter
+  Signer.verify committee.Committee.keys ck_voter
     (Shoalpp_storage.Checkpoint.preimage_of_digest ck_digest)
     ck_signature
 
@@ -185,10 +185,9 @@ let validate_vote ~committee ~verify_signatures (v : Types.vote) =
   else Ok ()
 
 let validate_certificate ~committee ~verify_signatures (c : Types.certificate) =
-  let nsig = Multisig.num_signers c.Types.multisig in
+  let nsig = Multisig.num_signers c.Types.multisig and quorum = Committee.quorum committee in
   let* () =
-    check (nsig >= Committee.quorum committee) "certificate has %d signers, need >= %d" nsig
-      (Committee.quorum committee)
+    if nsig >= quorum then Ok () else reject "certificate has %d signers, need >= %d" nsig quorum
   in
   let* () =
     check (Committee.valid_replica committee c.Types.cert_ref.Types.ref_author)

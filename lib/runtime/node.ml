@@ -100,10 +100,10 @@ let encode_envelope (e : Replica.envelope) =
   Buffer.add_string b body;
   Buffer.contents b
 
-let decode_envelope ~cluster_seed s =
+let decode_envelope ~cluster_seed:_ s =
   if String.length s < 1 then None
   else
-    match Types.decode_message ~cluster_seed (String.sub s 1 (String.length s - 1)) with
+    match Types.decode_message (String.sub s 1 (String.length s - 1)) with
     | Ok payload -> Some { Replica.dag_id = Char.code s.[0]; payload }
     | Error _ -> None
 

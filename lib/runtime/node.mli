@@ -83,7 +83,10 @@ val default_setup : protocol:Shoalpp_core.Config.t -> setup
 val encode_envelope : Shoalpp_core.Replica.envelope -> string
 val decode_envelope : cluster_seed:int -> string -> Shoalpp_core.Replica.envelope option
 (** The socket wire format: one DAG-id byte, then the signed protocol
-    message ({!Shoalpp_dag.Types.encode_message}). Exposed for tests. *)
+    message ({!Shoalpp_dag.Types.encode_message}). Exposed for tests and
+    the benchmark's codec replay. Decoding consults no keys (certificates
+    carry their aggregate), so [cluster_seed] is unused; the label stays
+    for those callers. *)
 
 type t
 

@@ -46,9 +46,13 @@ let sign keypair c = Signer.sign keypair (preimage c)
 
 let certify ~n candidate votes = { candidate; cert = Multisig.aggregate ~n votes }
 
+(* Callers holding only the genesis seed (the benchmark's replay among
+   them) verify here, so the keys of the certificate's committee are
+   derived per call; a checkpoint is verified once per certification. *)
 let verify ~cluster_seed ~quorum t =
+  let n = Bitset.capacity (Multisig.signers t.cert) in
   Multisig.num_signers t.cert >= quorum
-  && Multisig.verify ~cluster_seed t.cert (preimage t.candidate)
+  && Multisig.verify (Signer.registry ~cluster_seed ~n) t.cert (preimage t.candidate)
 
 let seq t = t.candidate.seq
 let lanes t = t.candidate.lanes
@@ -61,24 +65,22 @@ let encode t =
   Wire.Writer.list w (fun s -> Wire.Writer.uint w s) (Bitset.to_list (Multisig.signers t.cert));
   Wire.Writer.contents w
 
-let decode ~cluster_seed ~n s =
+let decode ~keys s =
   let rd = Wire.Reader.of_string s in
   let candidate = read_candidate rd in
   let signers = Wire.Reader.list rd (fun rd -> Wire.Reader.uint rd) in
   Wire.Reader.expect_end rd;
-  (* As for certificates in [Types.decode_message]: the registry is public
-     within the simulation, so the aggregate is regenerated from the signer
-     bitmap. A decoded cert therefore verifies iff the bitmap meets quorum;
-     forged-cert tests construct aggregates in memory instead. *)
+  (* The blob carries the signer bitmap only, so the aggregate is
+     regenerated from the registry: a decoded cert verifies iff the bitmap
+     meets quorum. Forged-cert tests construct aggregates in memory. *)
   let pre = preimage candidate in
-  let votes =
-    List.map
-      (fun r ->
-        let kp = Signer.keygen ~cluster_seed ~replica:r in
-        (Signer.public kp, Signer.sign kp pre))
-      signers
+  let cert =
+    try
+      Multisig.aggregate ~n:(Signer.size keys)
+        (List.map (fun r -> (r, Signer.sign (Signer.keypair keys r) pre)) signers)
+    with Invalid_argument m -> raise (Wire.Reader.Malformed m)
   in
-  { candidate; cert = Multisig.aggregate ~n votes }
+  { candidate; cert }
 
 let wire_size t =
   String.length (encode_candidate t.candidate) + Multisig.wire_size t.cert

@@ -19,7 +19,7 @@
       quorum {e and} whose aggregate verifies over this exact candidate —
       tampering with seq, any lane frontier, or the state digest breaks it;
     - [encode]/[decode] round-trip ([decode] regenerates the aggregate from
-      the public signer registry, mirroring [Types.decode_message]). *)
+      the public signer registry; the blob carries only the bitmap). *)
 
 type lane = { dag_id : int; round : int; resume : string }
 (** Per-lane frontier: the highest committed anchor round covered and the
@@ -54,6 +54,8 @@ val certify :
     @raise Invalid_argument on duplicate or out-of-range signers. *)
 
 val verify : cluster_seed:int -> quorum:int -> t -> bool
+(** Quorum met and the aggregate verifies over this candidate, against the
+    keys of the cluster derived from [cluster_seed]. *)
 
 val seq : t -> int
 val lanes : t -> lane list
@@ -61,8 +63,10 @@ val state : t -> Shoalpp_crypto.Digest32.t
 val cert : t -> Shoalpp_crypto.Multisig.t
 
 val encode : t -> string
-val decode : cluster_seed:int -> n:int -> string -> t
-(** @raise Shoalpp_codec.Wire.Reader.Malformed on corrupt input. *)
+val decode : keys:Shoalpp_crypto.Signer.registry -> string -> t
+(** The committee size is the registry's.
+    @raise Shoalpp_codec.Wire.Reader.Malformed on corrupt input, including
+    a duplicate signer or one outside the registry. *)
 
 val wire_size : t -> int
 val pp : Format.formatter -> t -> unit

@@ -18,6 +18,36 @@ let committee = Committee.make ~n:4 ~cluster_seed:66 ()
 (* ------------------------------------------------------------------ *)
 (* Reputation *)
 
+(* Feed a segment described by ids: [supporters] lists the anchor's author
+   first, then its strong parents' authors; [node_positions] are the
+   (round, author) pairs the segment ordered. *)
+let seg_node =
+  {
+    Types.round = 0;
+    author = 0;
+    batch = Shoalpp_workload.Batch.empty ~created_at:0.0;
+    parents = [];
+    weak_parents = [];
+    digest = Shoalpp_crypto.Digest32.zero;
+    signature = Shoalpp_crypto.Signer.of_raw (String.make 32 '\000');
+    created_at = 0.0;
+  }
+
+let seg_cert =
+  { Types.cert_ref = Types.ref_of_node seg_node; multisig = Shoalpp_crypto.Multisig.aggregate ~n:4 [] }
+
+let segment_ref ~round author =
+  { Types.ref_round = round; ref_author = author; ref_digest = Shoalpp_crypto.Digest32.zero }
+
+let segment_node (round, author) =
+  { Types.cn_node = { seg_node with Types.round; author }; cn_cert = seg_cert }
+
+let observe r ~anchor_round ~supporters ~node_positions =
+  let anchor, others = match supporters with a :: rest -> (a, rest) | [] -> (-1, []) in
+  Reputation.observe_segment r ~anchor_round ~anchor
+    ~parents:(List.map (segment_ref ~round:(anchor_round - 1)) others)
+    ~nodes:(List.map segment_node node_positions)
+
 let test_reputation_cold_start_all () =
   let r = Reputation.create ~n:4 ~enabled:true () in
   checki "all eligible" 4 (List.length (Reputation.eligible r ~round:1 ~slot:1));
@@ -35,7 +65,7 @@ let test_reputation_supporters_vs_stragglers () =
   (* Authors 0-2 support every anchor through round 10; author 3's nodes
      are only swept into histories late (never a supporter). *)
   for round = 1 to 10 do
-    Reputation.observe_segment r ~anchor_round:round ~supporters:[ 0; 1; 2 ]
+    observe r ~anchor_round:round ~supporters:[ 0; 1; 2 ]
       ~node_positions:[ (round, 0); (round, 1); (round - 1, 2); (round - 4, 3) ]
   done;
   checkb "supporter active" true (Reputation.is_active r ~round:11 0);
@@ -47,19 +77,19 @@ let test_reputation_supporters_vs_stragglers () =
 let test_reputation_recovers () =
   let r = Reputation.create ~n:4 ~staleness:3 ~enabled:true () in
   for round = 1 to 5 do
-    Reputation.observe_segment r ~anchor_round:round ~supporters:[ 0; 1; 2 ]
+    observe r ~anchor_round:round ~supporters:[ 0; 1; 2 ]
       ~node_positions:[ (round, 0); (round, 1); (round, 2) ]
   done;
   checkb "3 excluded" false (List.mem 3 (Reputation.eligible r ~round:6 ~slot:6));
   (* Author 3 supports an anchor again. *)
-  Reputation.observe_segment r ~anchor_round:6 ~supporters:[ 3 ] ~node_positions:[ (6, 3) ];
+  observe r ~anchor_round:6 ~supporters:[ 3 ] ~node_positions:[ (6, 3) ];
   checkb "3 restored" true (List.mem 3 (Reputation.eligible r ~round:7 ~slot:7))
 
 let test_reputation_scores_order () =
   let r = Reputation.create ~n:4 ~enabled:true () in
   (* Author 2 supports twice as often. *)
   for round = 1 to 8 do
-    Reputation.observe_segment r ~anchor_round:round
+    observe r ~anchor_round:round
       ~supporters:(2 :: (if round mod 2 = 0 then [ 0; 1; 3 ] else []))
       ~node_positions:[]
   done;
@@ -71,25 +101,25 @@ let test_reputation_scores_order () =
 let test_reputation_window_eviction () =
   let r = Reputation.create ~n:4 ~window:4 ~enabled:true () in
   for round = 1 to 4 do
-    Reputation.observe_segment r ~anchor_round:round ~supporters:[ 0 ]
+    observe r ~anchor_round:round ~supporters:[ 0 ]
       ~node_positions:[ (round, 0) ]
   done;
   checki "score in window" 4 (Reputation.score r 0);
   for round = 5 to 8 do
-    Reputation.observe_segment r ~anchor_round:round ~supporters:[ 1 ]
+    observe r ~anchor_round:round ~supporters:[ 1 ]
       ~node_positions:[ (round, 1) ]
   done;
   checki "old segments evicted" 0 (Reputation.score r 0)
 
 let test_reputation_duplicate_supporters_once () =
   let r = Reputation.create ~n:4 ~enabled:true () in
-  Reputation.observe_segment r ~anchor_round:1 ~supporters:[ 2; 2; 2 ] ~node_positions:[];
+  observe r ~anchor_round:1 ~supporters:[ 2; 2; 2 ] ~node_positions:[];
   checki "dedup" 1 (Reputation.score r 2)
 
 let test_reputation_determinism () =
   let feed r =
     for round = 1 to 6 do
-      Reputation.observe_segment r ~anchor_round:round
+      observe r ~anchor_round:round
         ~supporters:[ round mod 4; (round + 1) mod 4 ]
         ~node_positions:[ (round, round mod 4); (round - 1, (round + 1) mod 4) ]
     done
@@ -104,6 +134,99 @@ let test_reputation_determinism () =
       (Reputation.eligible a ~round ~slot:round)
       (Reputation.eligible b ~round ~slot:round)
   done
+
+(* The sort-based definition of [observe_segment] (filter to range, then
+   [List.sort_uniq]) over a plain copy of the state, as the oracle for the
+   mark-array implementation. *)
+type model = {
+  m_n : int;
+  m_window : int;
+  m_scores : int array;
+  m_last_round : int array;
+  m_last_support : int array;
+  m_miss : int array;
+  m_recent : int list Queue.t;
+  mutable m_highest : int;
+}
+
+let model_create ~n ~window =
+  {
+    m_n = n;
+    m_window = window;
+    m_scores = Array.make n 0;
+    m_last_round = Array.make n (-1);
+    m_last_support = Array.make n (-1);
+    m_miss = Array.make n 0;
+    m_recent = Queue.create ();
+    m_highest = -1;
+  }
+
+let model_observe m ~anchor_round ~supporters ~node_positions =
+  if anchor_round > m.m_highest then m.m_highest <- anchor_round;
+  List.iter
+    (fun (round, author) ->
+      if author >= 0 && author < m.m_n && round > m.m_last_round.(author) then
+        m.m_last_round.(author) <- round)
+    node_positions;
+  let supporters =
+    List.sort_uniq Int.compare (List.filter (fun a -> a >= 0 && a < m.m_n) supporters)
+  in
+  List.iter
+    (fun a ->
+      m.m_scores.(a) <- m.m_scores.(a) + 1;
+      m.m_miss.(a) <- 0;
+      if anchor_round > m.m_last_support.(a) then m.m_last_support.(a) <- anchor_round)
+    supporters;
+  Queue.push supporters m.m_recent;
+  if Queue.length m.m_recent > m.m_window then
+    List.iter (fun a -> m.m_scores.(a) <- m.m_scores.(a) - 1) (Queue.pop m.m_recent)
+
+let model_dump m =
+  {
+    Reputation.d_scores = Array.to_list m.m_scores;
+    d_last_round = Array.to_list m.m_last_round;
+    d_last_support = Array.to_list m.m_last_support;
+    d_miss = Array.to_list m.m_miss;
+    d_recent = List.of_seq (Queue.to_seq m.m_recent);
+    d_highest_anchor_round = m.m_highest;
+  }
+
+let prop_reputation_matches_sort_definition =
+  QCheck.Test.make ~name:"observe_segment = filter + sort_uniq definition" ~count:150
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Shoalpp_support.Rng.create seed in
+      let int_in lo hi = Shoalpp_support.Rng.int_in rng lo hi in
+      let n = int_in 4 12 and window = int_in 1 8 and staleness = int_in 1 6 in
+      let r = Reputation.create ~n ~window ~staleness ~enabled:true () in
+      let m = model_create ~n ~window in
+      let ok = ref true in
+      for step = 1 to 60 do
+        if int_in 0 4 = 0 then begin
+          let author = int_in (-2) (n + 1) in
+          Reputation.observe_skip r ~round:step ~author;
+          if author >= 0 && author < n then m.m_miss.(author) <- m.m_miss.(author) + 1
+        end
+        else begin
+          (* Anchor rounds mostly advance but may repeat or step back;
+             supporter ids include duplicates and out-of-range values. *)
+          let anchor_round = step - int_in 0 2 in
+          let supporters = List.init (int_in 0 (2 * n)) (fun _ -> int_in (-3) (n + 2)) in
+          let node_positions =
+            List.init (int_in 0 n) (fun _ -> (int_in 0 step, int_in (-2) (n + 1)))
+          in
+          observe r ~anchor_round ~supporters ~node_positions;
+          model_observe m ~anchor_round ~supporters ~node_positions
+        end;
+        let loaded = Reputation.create ~n ~window ~staleness ~enabled:true () in
+        Reputation.load loaded (model_dump m);
+        let slot = int_in 0 100 in
+        ok :=
+          !ok
+          && Reputation.dump r = model_dump m
+          && Reputation.eligible r ~round:step ~slot = Reputation.eligible loaded ~round:step ~slot
+      done;
+      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Anchors *)
@@ -427,7 +550,8 @@ let suite =
         Alcotest.test_case "scores order" `Quick test_reputation_scores_order;
         Alcotest.test_case "window eviction" `Quick test_reputation_window_eviction;
         Alcotest.test_case "determinism" `Quick test_reputation_determinism;
-      ] );
+      ]
+      @ List.map QCheck_alcotest.to_alcotest [ prop_reputation_matches_sort_definition ] );
     ( "consensus.anchors",
       [
         Alcotest.test_case "modes" `Quick test_anchor_modes;

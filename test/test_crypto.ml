@@ -83,6 +83,89 @@ let test_hmac_long_key () =
   let k1 = String.make 100 'k' and k2 = String.make 100 'l' in
   checkb "long keys distinct" false (String.equal (Sha256.hmac ~key:k1 "m") (Sha256.hmac ~key:k2 "m"))
 
+(* RFC 2104 spelled out over the plain hash: the definition the keyed
+   midstates must reproduce. *)
+let reference_hmac ~key msg =
+  let key = if String.length key > 64 then Sha256.digest_string key else key in
+  let pad fill =
+    String.init 64 (fun i ->
+        let k = if i < String.length key then Char.code key.[i] else 0 in
+        Char.chr (k lxor Char.code fill))
+  in
+  Sha256.digest_string (pad '\x5c' ^ Sha256.digest_string (pad '\x36' ^ msg))
+
+let rfc4231 =
+  let hex h =
+    String.init (String.length h / 2) (fun i ->
+        Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+  in
+  [
+    ( "case 1",
+      String.make 20 '\x0b',
+      "Hi There",
+      "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" );
+    ( "case 2",
+      "Jefe",
+      "what do ya want for nothing?",
+      "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" );
+    ( "case 3",
+      String.make 20 '\xaa',
+      String.make 50 '\xdd',
+      "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe" );
+    ( "case 4",
+      hex "0102030405060708090a0b0c0d0e0f10111213141516171819",
+      String.make 50 '\xcd',
+      "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b" );
+    ( "case 6 (131-byte key)",
+      String.make 131 '\xaa',
+      "Test Using Larger Than Block-Size Key - Hash Key First",
+      "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" );
+    ( "case 7 (131-byte key, 152-byte data)",
+      String.make 131 '\xaa',
+      "This is a test using a larger than block-size key and a larger than block-size data. \
+       The key needs to be hashed before being used by the HMAC algorithm.",
+      "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" );
+  ]
+
+let test_hmac_keyed_rfc4231 () =
+  let scratch = Sha256.init () and out = Bytes.create 32 in
+  List.iter
+    (fun (name, key, msg, expected) ->
+      checks (name ^ " reference") expected (Sha256.to_hex (reference_hmac ~key msg));
+      checks (name ^ " one-shot") expected (Sha256.to_hex (Sha256.hmac ~key msg));
+      let k = Sha256.hmac_key key in
+      checks (name ^ " keyed") expected (Sha256.to_hex (Sha256.hmac_keyed k msg));
+      (* The scratch context carries over from the previous vector. *)
+      Sha256.hmac_into k scratch msg out;
+      checks (name ^ " into scratch") expected (Sha256.to_hex (Bytes.to_string out)))
+    rfc4231
+
+let prop_hmac_keyed_matches_definition =
+  QCheck.Test.make ~name:"keyed midstate = RFC 2104 definition" ~count:200
+    QCheck.(pair (string_of_size (Gen.int_range 0 200)) (string_of_size (Gen.int_range 0 200)))
+    (fun (key, msg) ->
+      let k = Sha256.hmac_key key in
+      let scratch = Sha256.init () and out = Bytes.create 32 in
+      (* Twice through the same scratch: reuse must not leak state. *)
+      Sha256.hmac_into k scratch "previous message" out;
+      Sha256.hmac_into k scratch msg out;
+      let expected = reference_hmac ~key msg in
+      String.equal expected (Sha256.hmac_keyed k msg)
+      && String.equal expected (Bytes.to_string out)
+      && String.equal expected (Sha256.hmac ~key msg))
+
+let test_hmac_into_allocation_free () =
+  let k = Sha256.hmac_key "registry key" in
+  let scratch = Sha256.init () and out = Bytes.create 32 in
+  let msg = String.make 55 'm' in
+  Sha256.hmac_into k scratch msg out;
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    Sha256.hmac_into k scratch msg out
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb (Printf.sprintf "no allocation per MAC (%.0f words / 100)" words) true (words < 16.0)
+
 (* ------------------------------------------------------------------ *)
 (* Digest32 *)
 
@@ -111,10 +194,10 @@ let prop_digest32_hash_consistent =
 let test_signer_roundtrip () =
   let kp = Signer.keygen ~cluster_seed:5 ~replica:3 in
   let s = Signer.sign kp "message" in
-  checkb "verifies" true (Signer.verify ~cluster_seed:5 3 "message" s);
-  checkb "wrong message" false (Signer.verify ~cluster_seed:5 3 "other" s);
-  checkb "wrong replica" false (Signer.verify ~cluster_seed:5 4 "message" s);
-  checkb "wrong cluster" false (Signer.verify ~cluster_seed:6 3 "message" s)
+  checkb "verifies" true (Signer.verify (Signer.registry ~cluster_seed:5 ~n:8) 3 "message" s);
+  checkb "wrong message" false (Signer.verify (Signer.registry ~cluster_seed:5 ~n:8) 3 "other" s);
+  checkb "wrong replica" false (Signer.verify (Signer.registry ~cluster_seed:5 ~n:8) 4 "message" s);
+  checkb "wrong cluster" false (Signer.verify (Signer.registry ~cluster_seed:6 ~n:8) 3 "message" s)
 
 let test_signer_deterministic_keys () =
   let a = Signer.keygen ~cluster_seed:1 ~replica:0 in
@@ -125,7 +208,7 @@ let test_signer_of_raw () =
   let kp = Signer.keygen ~cluster_seed:1 ~replica:0 in
   let s = Signer.sign kp "m" in
   let s' = Signer.of_raw (Signer.raw s) in
-  checkb "roundtrip verifies" true (Signer.verify ~cluster_seed:1 0 "m" s');
+  checkb "roundtrip verifies" true (Signer.verify (Signer.registry ~cluster_seed:1 ~n:8) 0 "m" s');
   Alcotest.check_raises "bad length" (Invalid_argument "Signer.of_raw: need 32 bytes") (fun () ->
       ignore (Signer.of_raw "xx"))
 
@@ -144,14 +227,14 @@ let test_multisig_roundtrip () =
   let agg = Multisig.aggregate ~n:7 (sigs_over ~cluster_seed:9 ~msg [ 0; 2; 5 ]) in
   checki "signers" 3 (Multisig.num_signers agg);
   check Alcotest.(list int) "signer ids" [ 0; 2; 5 ] (Bitset.to_list (Multisig.signers agg));
-  checkb "verifies" true (Multisig.verify ~cluster_seed:9 agg msg);
-  checkb "wrong message" false (Multisig.verify ~cluster_seed:9 agg "other")
+  checkb "verifies" true (Multisig.verify (Signer.registry ~cluster_seed:9 ~n:8) agg msg);
+  checkb "wrong message" false (Multisig.verify (Signer.registry ~cluster_seed:9 ~n:8) agg "other")
 
 let test_multisig_order_insensitive () =
   let msg = "m" in
   let a = Multisig.aggregate ~n:5 (sigs_over ~cluster_seed:1 ~msg [ 3; 1; 4 ]) in
   let b = Multisig.aggregate ~n:5 (sigs_over ~cluster_seed:1 ~msg [ 1; 4; 3 ]) in
-  checkb "same aggregate verifies" true (Multisig.verify ~cluster_seed:1 a msg && Multisig.verify ~cluster_seed:1 b msg);
+  checkb "same aggregate verifies" true (Multisig.verify (Signer.registry ~cluster_seed:1 ~n:8) a msg && Multisig.verify (Signer.registry ~cluster_seed:1 ~n:8) b msg);
   check Alcotest.(list int) "same signers" (Bitset.to_list (Multisig.signers a))
     (Bitset.to_list (Multisig.signers b))
 
@@ -171,7 +254,7 @@ let test_multisig_forgery_detected () =
   let honest = sigs_over ~cluster_seed:1 ~msg:"real" [ 0; 1 ] in
   let forged = (2, Signer.sign (Signer.keygen ~cluster_seed:1 ~replica:2) "fake") :: honest in
   let agg = Multisig.aggregate ~n:4 forged in
-  checkb "forgery rejected" false (Multisig.verify ~cluster_seed:1 agg "real")
+  checkb "forgery rejected" false (Multisig.verify (Signer.registry ~cluster_seed:1 ~n:8) agg "real")
 
 let test_multisig_wire_size () =
   let agg = Multisig.aggregate ~n:100 (sigs_over ~cluster_seed:1 ~msg:"m" [ 0; 99 ]) in
@@ -297,8 +380,10 @@ let suite =
         Alcotest.test_case "finalize twice raises" `Quick test_sha_finalize_twice_raises;
         Alcotest.test_case "hmac vectors" `Quick test_hmac_vectors;
         Alcotest.test_case "hmac long key" `Quick test_hmac_long_key;
+        Alcotest.test_case "keyed hmac rfc4231" `Quick test_hmac_keyed_rfc4231;
+        Alcotest.test_case "keyed hmac allocation-free" `Quick test_hmac_into_allocation_free;
       ]
-      @ qsuite [ prop_sha_incremental ] );
+      @ qsuite [ prop_sha_incremental; prop_hmac_keyed_matches_definition ] );
     ( "crypto.digest32",
       [
         Alcotest.test_case "basics" `Quick test_digest32_basics;

@@ -11,9 +11,11 @@ module Signer = Shoalpp_crypto.Signer
 module Multisig = Shoalpp_crypto.Multisig
 module Batch = Shoalpp_workload.Batch
 module Transaction = Shoalpp_workload.Transaction
+module Bitset = Shoalpp_support.Bitset
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
+let checks = Alcotest.(check string)
 
 let committee = Committee.make ~n:4 ~cluster_seed:77 ()
 
@@ -117,7 +119,7 @@ let test_weak_parents_in_digest () =
   checkb "weak parents bound" false (Digest32.equal a.Types.digest b.Types.digest)
 
 let roundtrip msg =
-  match Types.decode_message ~cluster_seed:committee.Committee.cluster_seed (Types.encode_message msg) with
+  match Types.decode_message (Types.encode_message msg) with
   | Ok decoded -> decoded
   | Error e -> Alcotest.failf "decode failed: %s" e
 
@@ -170,13 +172,45 @@ let test_encode_decode_vote_and_cert () =
     | Error e -> Alcotest.failf "decoded cert invalid: %s" e)
   | _ -> Alcotest.fail "wrong kind"
 
+(* The decoder takes a certificate's aggregate as sent: a signer bitmap
+   edited in transit survives decoding and only signature validation
+   rejects it. *)
+let test_decode_keeps_tampered_certificate () =
+  let node = make_node ~round:0 ~author:1 ~parents:[] () in
+  let cert = (certify node).Types.cn_cert in
+  let encoded = Types.encode_message (Types.Certificate cert) in
+  (match Types.decode_message encoded with
+  | Ok (Types.Certificate c) ->
+    checks "combined hash on the wire"
+      (Multisig.combined cert.Types.multisig)
+      (Multisig.combined c.Types.multisig)
+  | _ -> Alcotest.fail "honest certificate must decode");
+  (* Signers [0; 1; 2] of a 4-committee end the encoding as the varint
+     bytes 0, 1, 2, followed by the 32-byte combined hash. *)
+  let tampered = Bytes.of_string encoded in
+  let pos = Bytes.length tampered - 33 in
+  checki "last signer byte" 2 (Char.code (Bytes.get tampered pos));
+  Bytes.set tampered pos '\003';
+  match Types.decode_message (Bytes.to_string tampered) with
+  | Ok (Types.Certificate c) ->
+    Alcotest.(check (list int))
+      "tampered signers decoded as sent" [ 0; 1; 3 ]
+      (Bitset.to_list (Multisig.signers c.Types.multisig));
+    checkb "structure alone accepts" true
+      (Result.is_ok (Validation.validate_certificate ~committee ~verify_signatures:false c));
+    (match Validation.validate_certificate ~committee ~verify_signatures:true c with
+    | Error e -> checks "signature check rejects" "bad certificate multisig" e
+    | Ok () -> Alcotest.fail "tampered certificate verified")
+  | Ok _ -> Alcotest.fail "wrong kind"
+  | Error e -> Alcotest.failf "tampered certificate must still decode: %s" e
+
 let test_decode_garbage () =
   checkb "garbage rejected" true
-    (match Types.decode_message ~cluster_seed:0 "\x09not-a-message" with
+    (match Types.decode_message "\x09not-a-message" with
     | Error _ -> true
     | Ok _ -> false);
   checkb "empty rejected" true
-    (match Types.decode_message ~cluster_seed:0 "" with Error _ -> true | Ok _ -> false)
+    (match Types.decode_message "" with Error _ -> true | Ok _ -> false)
 
 let test_message_sizes_scale () =
   let small = Types.Proposal (make_node ~round:0 ~author:0 ~parents:[] ()) in
@@ -246,6 +280,65 @@ let test_validation_weak_parent_rules () =
     (Validation.validate_proposal ~committee ~verify_signatures:true
        (make_node ~round:2 ~author:0 ~parents:(refs_of r1)
           ~weak_parents:[ List.hd (refs_of r0); List.hd (refs_of r0) ] ()))
+
+(* The exact rejection strings: validation builds them only on failure,
+   and each check keeps its message and its place in the check order. *)
+let test_validation_rejection_messages () =
+  let expect_error name expected result =
+    match result with
+    | Error e -> Alcotest.(check string) name expected e
+    | Ok () -> Alcotest.failf "%s: unexpectedly valid" name
+  in
+  let validate node = Validation.validate_proposal ~committee ~verify_signatures:false node in
+  let r0 = full_round ~round:0 ~parents:[] () in
+  let refs0 = refs_of r0 in
+  let r1 = full_round ~round:1 ~parents:refs0 () in
+  let refs1 = refs_of r1 in
+  let r2 = refs_of (full_round ~round:2 ~parents:refs1 ()) in
+  let ref_at ~round ~author = { (List.hd refs0) with Types.ref_round = round; ref_author = author } in
+  expect_error "round 0 with parents" "round-0 node must have no parents"
+    (validate (make_node ~round:0 ~author:0 ~parents:[ List.hd refs0 ] ()));
+  expect_error "too few parents" "node has 2 parents, need >= 3"
+    (validate (make_node ~round:1 ~author:0 ~parents:(List.filteri (fun i _ -> i < 2) refs0) ()));
+  expect_error "wrong parent round" "parent from round 0, expected 1"
+    (validate (make_node ~round:2 ~author:0 ~parents:refs0 ()));
+  expect_error "invalid parent author" "parent author 9 invalid"
+    (validate (make_node ~round:1 ~author:0 ~parents:(refs0 @ [ ref_at ~round:0 ~author:9 ]) ()));
+  expect_error "duplicate parent author" "duplicate parent author"
+    (validate (make_node ~round:1 ~author:0 ~parents:(List.hd refs0 :: refs0) ()));
+  expect_error "weak cap"
+    (Printf.sprintf "%d weak parents, cap is %d" (Types.max_weak_parents + 1) Types.max_weak_parents)
+    (validate
+       (make_node ~round:3 ~author:0 ~parents:r2
+          ~weak_parents:(List.init (Types.max_weak_parents + 1) (fun _ -> List.hd refs0))
+          ()));
+  expect_error "weak from previous round" "weak parent from round 2, need < 2"
+    (validate (make_node ~round:3 ~author:0 ~parents:r2 ~weak_parents:[ List.hd r2 ] ()));
+  expect_error "weak author invalid" "weak parent author invalid"
+    (validate
+       (make_node ~round:3 ~author:0 ~parents:r2 ~weak_parents:[ ref_at ~round:0 ~author:4 ] ()));
+  expect_error "duplicate weak parent" "duplicate weak parent"
+    (validate
+       (make_node ~round:3 ~author:0 ~parents:r2
+          ~weak_parents:[ List.hd refs0; List.hd refs1; List.hd refs0 ]
+          ()));
+  (* Checks run element by element: a bad round before the duplicate is
+     reported first, and a duplicate only counts against earlier refs. *)
+  expect_error "round error before later duplicate" "weak parent from round 2, need < 2"
+    (validate
+       (make_node ~round:3 ~author:0 ~parents:r2
+          ~weak_parents:[ List.hd refs0; List.hd r2; List.hd refs0 ]
+          ()));
+  expect_error "duplicate of an earlier ref" "duplicate weak parent"
+    (validate
+       (make_node ~round:3 ~author:0 ~parents:r2
+          ~weak_parents:[ List.hd refs0; List.hd refs0; List.hd r2 ]
+          ()));
+  expect_valid "distinct positions"
+    (validate
+       (make_node ~round:3 ~author:0 ~parents:r2
+          ~weak_parents:[ List.hd refs0; List.nth refs0 1; List.hd refs1 ]
+          ()))
 
 let test_validation_signature () =
   let good = make_node ~round:0 ~author:0 ~parents:[] () in
@@ -481,6 +574,8 @@ let suite =
         Alcotest.test_case "proposal roundtrip" `Quick test_encode_decode_proposal;
         Alcotest.test_case "vote/cert roundtrip" `Quick test_encode_decode_vote_and_cert;
         Alcotest.test_case "garbage rejected" `Quick test_decode_garbage;
+        Alcotest.test_case "tampered cert decodes, then fails" `Quick
+          test_decode_keeps_tampered_certificate;
         Alcotest.test_case "message sizes" `Quick test_message_sizes_scale;
       ] );
     ( "dag.validation",
@@ -488,6 +583,7 @@ let suite =
         Alcotest.test_case "round 0" `Quick test_validation_round0;
         Alcotest.test_case "parent rules" `Quick test_validation_parent_rules;
         Alcotest.test_case "weak parent rules" `Quick test_validation_weak_parent_rules;
+        Alcotest.test_case "rejection messages" `Quick test_validation_rejection_messages;
         Alcotest.test_case "signature" `Quick test_validation_signature;
         Alcotest.test_case "digest binding" `Quick test_validation_digest_binding;
         Alcotest.test_case "author range" `Quick test_validation_author_range;

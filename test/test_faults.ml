@@ -114,7 +114,7 @@ let test_wal_retention () =
 
 let test_reputation_miss_streak () =
   let r = Reputation.create ~n:4 ~miss_threshold:2 ~enabled:true () in
-  Reputation.observe_segment r ~anchor_round:1 ~supporters:[ 0; 1; 2; 3 ]
+  Test_consensus.observe r ~anchor_round:1 ~supporters:[ 0; 1; 2; 3 ]
     ~node_positions:[ (1, 0); (1, 1); (1, 2); (1, 3) ];
   checkb "active before skips" true (Reputation.is_active r ~round:2 3);
   Reputation.observe_skip r ~round:2 ~author:3;
@@ -123,7 +123,7 @@ let test_reputation_miss_streak () =
   checki "streak" 2 (Reputation.miss_streak r 3);
   checkb "excluded at threshold" false (Reputation.is_active r ~round:4 3);
   (* Supporting a segment again clears the streak. *)
-  Reputation.observe_segment r ~anchor_round:4 ~supporters:[ 3; 0; 1 ]
+  Test_consensus.observe r ~anchor_round:4 ~supporters:[ 3; 0; 1 ]
     ~node_positions:[ (4, 3) ];
   checki "streak reset" 0 (Reputation.miss_streak r 3);
   checkb "re-admitted" true (Reputation.is_active r ~round:5 3)

@@ -259,8 +259,127 @@ let test_golden_cluster_digests () =
       checks (name ^ " golden digest") expected d)
     golden
 
+(* ------------------------------------------------------------------ *)
+(* Allocation guards on the per-message receive path: validating a
+   proposal and crediting an ordered segment must stay within a small
+   fixed word budget however many parents the node carries. *)
+
+let words_per_call ~iters f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int iters
+
+let committee50 = Committee.make ~n:50 ~cluster_seed:3 ()
+
+let node_with_34_parents =
+  let parents =
+    List.init 34 (fun author ->
+        {
+          Types.ref_round = 6;
+          ref_author = author;
+          ref_digest = Shoalpp_crypto.Digest32.of_string (string_of_int author);
+        })
+  in
+  let batch = Shoalpp_workload.Batch.empty ~created_at:0.0 in
+  let digest =
+    Types.node_digest ~round:7 ~author:40 ~batch_digest:batch.Shoalpp_workload.Batch.digest
+      ~parents ~weak_parents:[]
+  in
+  {
+    Types.round = 7;
+    author = 40;
+    batch;
+    parents;
+    weak_parents = [];
+    digest;
+    signature =
+      Shoalpp_crypto.Signer.sign (Committee.keypair committee50 40) (Shoalpp_crypto.Digest32.raw digest);
+    created_at = 0.0;
+  }
+
+let test_validate_proposal_word_budget () =
+  let validate verify_signatures () =
+    match
+      Shoalpp_dag.Validation.validate_proposal ~committee:committee50 ~verify_signatures
+        node_with_34_parents
+    with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "n=50 node rejected: %s" e
+  in
+  let structural = words_per_call ~iters:200 (validate false) in
+  checkb (Printf.sprintf "structural checks: %.0f words <= 64" structural) true (structural <= 64.0);
+  let signed = words_per_call ~iters:200 (validate true) in
+  checkb (Printf.sprintf "with signature: %.0f words <= 192" signed) true (signed <= 192.0)
+
+let test_observe_segment_word_budget () =
+  let r = Shoalpp_consensus.Reputation.create ~n:50 ~window:4 ~enabled:true () in
+  let parents = node_with_34_parents.Types.parents in
+  let node =
+    {
+      Types.cn_node = node_with_34_parents;
+      cn_cert =
+        {
+          Types.cert_ref = Types.ref_of_node node_with_34_parents;
+          multisig = Shoalpp_crypto.Multisig.aggregate ~n:50 [];
+        };
+    }
+  in
+  let nodes = List.init 50 (fun _ -> node) in
+  let round = ref 8 in
+  let words =
+    words_per_call ~iters:200 (fun () ->
+        incr round;
+        Shoalpp_consensus.Reputation.observe_segment r ~anchor_round:!round ~anchor:40 ~parents
+          ~nodes)
+  in
+  (* 35 supporters: the stored list is 35 cons cells (3 words each) plus
+     the window queue's cell. *)
+  let stored = float_of_int ((35 * 3) + 3) in
+  checkb (Printf.sprintf "%.0f words <= stored list (%.0f words) + 8" words stored) true
+    (words <= stored +. 8.0)
+
+let test_note_proposal_word_budget () =
+  let store = Store.create ~n:50 ~genesis_digest:committee50.Committee.genesis in
+  let rounds = 20 in
+  let nodes =
+    Array.init rounds (fun r ->
+        let round = r + 1 in
+        let parents =
+          List.map
+            (fun (p : Types.node_ref) -> { p with Types.ref_round = round - 1 })
+            node_with_34_parents.Types.parents
+        in
+        Array.init 50 (fun author -> { node_with_34_parents with Types.round; author; parents }))
+  in
+  (* Author 0 of each round creates the round's slot and its parents'
+     slot, so the measured calls only look slots up. *)
+  Array.iter (fun round -> ignore (Store.note_proposal store round.(0))) nodes;
+  let before = Gc.minor_words () in
+  Array.iter
+    (fun round ->
+      for author = 1 to 49 do
+        ignore (Sys.opaque_identity (Store.note_proposal store round.(author)))
+      done)
+    nodes;
+  let words = (Gc.minor_words () -. before) /. float_of_int (rounds * 49) in
+  checkb (Printf.sprintf "note_proposal, 34 parents: %.1f words <= 8" words) true (words <= 8.0);
+  checki "weak votes counted" (rounds * 50)
+    (List.fold_left (fun acc r -> acc + Store.weak_votes store ~round:r ~author:0) 0
+       (List.init rounds Fun.id))
+
 let suite =
   [
+    ( "perf-fixes.alloc",
+      [
+        Alcotest.test_case "validate_proposal n=50, 34 parents" `Quick
+          test_validate_proposal_word_budget;
+        Alcotest.test_case "observe_segment stores only its list" `Quick
+          test_observe_segment_word_budget;
+        Alcotest.test_case "note_proposal, one slot lookup" `Quick test_note_proposal_word_budget;
+      ] );
     ( "perf-fixes.metrics",
       [
         Alcotest.test_case "warmup judged on commit time" `Quick test_warmup_judged_on_commit_time;

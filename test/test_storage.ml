@@ -111,7 +111,7 @@ let votes_for c signers =
 let test_checkpoint_roundtrip () =
   let ck = Checkpoint.certify ~n candidate (votes_for candidate [ 0; 1; 3 ]) in
   checkb "fresh cert verifies" true (Checkpoint.verify ~cluster_seed ~quorum:3 ck);
-  let ck' = Checkpoint.decode ~cluster_seed ~n (Checkpoint.encode ck) in
+  let ck' = Checkpoint.decode ~keys:(Signer.registry ~cluster_seed ~n) (Checkpoint.encode ck) in
   checki "seq roundtrips" (Checkpoint.seq ck) (Checkpoint.seq ck');
   checkb "state roundtrips" true (Digest32.equal (Checkpoint.state ck) (Checkpoint.state ck'));
   checkb "lanes roundtrip" true (Checkpoint.lanes ck = Checkpoint.lanes ck');
