@@ -757,6 +757,7 @@ let node_bench () =
   section "node: realtime ordered throughput vs domains (wall clock)";
   let module Json = Shoalpp_runtime.Export.Json in
   let module Node = Shoalpp_runtime.Node in
+  let module Commit_log = Shoalpp_runtime.Commit_log in
   let module Config = Shoalpp_core.Config in
   let module Committee = Shoalpp_dag.Committee in
   let getf name default =
@@ -800,7 +801,9 @@ let node_bench () =
       | None -> 0
     in
     let behaviour_ok =
-      audit.Node.consistent_prefixes && audit.Node.duplicate_orders = 0 && pool_exns = 0
+      audit.Commit_log.consistent_prefixes
+      && audit.Commit_log.duplicate_orders = 0
+      && pool_exns = 0
     in
     note "domains=%d  %8.0f ordered tx/s  p50 %6.0f ms  elapsed %6.0f ms  audit %s\n" domains
       ordered_tps report.Report.latency_p50 elapsed_ms
@@ -821,8 +824,8 @@ let node_bench () =
           ("committed", Json.Int report.Report.committed);
           ("ordered_tps", Json.Float ordered_tps);
           ("latency_p50_ms", Json.Float report.Report.latency_p50);
-          ("audit_consistent", Json.Bool audit.Node.consistent_prefixes);
-          ("duplicate_orders", Json.Int audit.Node.duplicate_orders);
+          ("audit_consistent", Json.Bool audit.Commit_log.consistent_prefixes);
+          ("duplicate_orders", Json.Int audit.Commit_log.duplicate_orders);
           ("pool_work_exceptions", Json.Int pool_exns);
           ("behaviour_ok", Json.Bool behaviour_ok);
         ] )
@@ -881,6 +884,7 @@ let net_bench () =
   section "net: sim vs realtime TCP under gcp10 (latency vs load)";
   let module Json = Shoalpp_runtime.Export.Json in
   let module Node = Shoalpp_runtime.Node in
+  let module Commit_log = Shoalpp_runtime.Commit_log in
   let module Config = Shoalpp_core.Config in
   let module Committee = Shoalpp_dag.Committee in
   let module Topology = Shoalpp_sim.Topology in
@@ -962,7 +966,7 @@ let net_bench () =
     Node.run node ~duration_ms;
     let report = Node.report node ~duration_ms in
     let audit = Node.audit node in
-    if not (audit.Node.consistent_prefixes && audit.Node.duplicate_orders = 0) then
+    if not (audit.Commit_log.consistent_prefixes && audit.Commit_log.duplicate_orders = 0) then
       note "WARNING: realtime audit failed at load %.0f coalesce %.0f\n" load coalesce_us;
     let ns = Stream.net_stats (Option.get (Node.stream node)) in
     let mode = Printf.sprintf "tcp+gcp10/c%.0fus" coalesce_us in
@@ -982,8 +986,8 @@ let net_bench () =
               ("coalesce_us", Json.Float coalesce_us);
               ("flushes", Json.Int ns.Stream.flushes);
               ("coalesced_frames", Json.Int ns.Stream.coalesced_frames);
-              ("audit_consistent", Json.Bool audit.Node.consistent_prefixes);
-              ("duplicate_orders", Json.Int audit.Node.duplicate_orders);
+              ("audit_consistent", Json.Bool audit.Commit_log.consistent_prefixes);
+              ("duplicate_orders", Json.Int audit.Commit_log.duplicate_orders);
             ])
       | other -> other
     in

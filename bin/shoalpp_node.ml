@@ -8,6 +8,7 @@
      dune exec bin/shoalpp_node.exe -- --trace-out node.jsonl --metrics-out node.metrics.json *)
 
 module Node = Shoalpp_runtime.Node
+module Commit_log = Shoalpp_runtime.Commit_log
 module Report = Shoalpp_runtime.Report
 module Export = Shoalpp_runtime.Export
 module Ledger = Shoalpp_runtime.Ledger
@@ -278,13 +279,20 @@ let run n duration load warmup timeout link_delay seed no_verify domains verify_
       requests certs
       (if Node.catching_up node (n - 1) then " (still catching up)" else ""));
   let audit = Node.audit node in
-  Format.printf "audit: %s; %d segments (common prefix %d); lanes %s@."
-    (if audit.Node.consistent_prefixes && audit.Node.duplicate_orders = 0 then
-       "consistent logs, no duplicates"
-     else "FAILED")
-    audit.Node.total_segments audit.Node.prefix_length
+  let audit_ok =
+    audit.Commit_log.consistent_prefixes && audit.Commit_log.duplicate_orders = 0
+    && audit.Commit_log.recovery_prefix_ok
+  in
+  Format.printf "audit: %s; %d segments (common prefix %d); lanes %s%s@."
+    (if audit_ok then "consistent logs, no duplicates" else "FAILED")
+    audit.Commit_log.total_segments audit.Commit_log.prefix_length
     (String.concat ","
-       (Array.to_list (Array.map string_of_int audit.Node.anchors_per_lane)));
+       (Array.to_list (Array.map string_of_int audit.Commit_log.anchors_per_lane)))
+    (if audit.Commit_log.recoveries_audited = 0 then ""
+     else
+       Printf.sprintf "; recovery prefix %s (%d restarted)"
+         (if audit.Commit_log.recovery_prefix_ok then "ok" else "FAILED")
+         audit.Commit_log.recoveries_audited);
   (match trace with
   | Some _ ->
     let path = Option.get trace_out in
@@ -308,7 +316,7 @@ let run n duration load warmup timeout link_delay seed no_verify domains verify_
     Format.printf "metrics: %s@." path
   | None -> ());
   cleanup ();
-  if not (audit.Node.consistent_prefixes && audit.Node.duplicate_orders = 0) then exit 1
+  if not audit_ok then exit 1
 
 let cmd =
   let n = Arg.(value & opt int 4 & info [ "n"; "replicas" ] ~doc:"Number of replicas.") in

@@ -11,6 +11,7 @@
 
 module E = Shoalpp_runtime.Experiment
 module Cluster = Shoalpp_runtime.Cluster
+module Commit_log = Shoalpp_runtime.Commit_log
 module Report = Shoalpp_runtime.Report
 module Config = Shoalpp_core.Config
 module Committee = Shoalpp_dag.Committee
@@ -36,8 +37,8 @@ let () =
   let report = Cluster.report cluster ~duration_ms:30_000.0 in
   Format.printf "%a@." Cluster.pp_report report;
   let audit = Cluster.audit cluster in
-  Format.printf "safety: consistent=%b duplicates=%d@." audit.Cluster.consistent_prefixes
-    audit.Cluster.duplicate_orders;
+  Format.printf "safety: consistent=%b duplicates=%d@." audit.Commit_log.consistent_prefixes
+    audit.Commit_log.duplicate_orders;
   (* Reputation evidence: crashed replicas no longer appear in the anchor
      vectors of surviving replicas. *)
   let r0 = (Cluster.replicas cluster).(0) in

@@ -11,6 +11,7 @@ module Mempool = Shoalpp_workload.Mempool
 module Metrics = Shoalpp_runtime.Metrics
 module Report = Shoalpp_runtime.Report
 module Ledger = Shoalpp_runtime.Ledger
+module Commit_log = Shoalpp_runtime.Commit_log
 module Anchors = Shoalpp_consensus.Anchors
 module Rng = Shoalpp_support.Rng
 module Obs = Shoalpp_sim.Obs
@@ -101,8 +102,7 @@ type replica = {
   id : int;
   setup : setup;
   backend : msg Backend.t;
-  metrics : Metrics.t;
-  ledger : Ledger.t; (* shared per-commit latency ledger *)
+  ledger : Ledger.t; (* shared origin-commit hook: metrics + stage histograms *)
   mutable ordered_seq : int; (* position of the next committed block *)
   genesis_qc : qc;
   pool : (int, tx_state) Hashtbl.t; (* txid -> state *)
@@ -142,9 +142,6 @@ type replica = {
   c_withheld : Telemetry.counter option;
   c_delayed : Telemetry.counter option;
   c_syncs : Telemetry.counter option;
-  h_submit_block : Telemetry.Histogram.t option;
-  h_block_commit : Telemetry.Histogram.t option;
-  h_e2e : Telemetry.Histogram.t option;
 }
 
 let rep_lag = 6
@@ -196,15 +193,10 @@ let commit_block t (b : block) =
     (fun (tx : Transaction.t) ->
       if not (Hashtbl.mem t.committed_ids tx.Transaction.id) then begin
         Hashtbl.replace t.committed_ids tx.Transaction.id ();
-        Metrics.observe_commit t.metrics ~origin_ordered:(tx.Transaction.origin = t.id) ~tx ~now;
-        if tx.Transaction.origin = t.id then begin
-          let submitted = tx.Transaction.submitted_at in
-          Obs.observe_h t.h_submit_block (b.jb_created_at -. submitted);
-          Obs.observe_h t.h_block_commit (now -. b.jb_created_at);
-          Obs.observe_h t.h_e2e (now -. submitted);
-          (* Chain protocol: block creation is both batching and inclusion,
-             and a 2-chain commit is final order — the middle stages
-             collapse, which is exactly what the attribution should show. *)
+        (* Chain protocol: block creation is both batching and inclusion,
+           and a 2-chain commit is final order — the middle stages
+           collapse, which is exactly what the attribution should show. *)
+        if tx.Transaction.origin = t.id then
           Ledger.record t.ledger
             {
               Ledger.le_tx = tx.Transaction.id;
@@ -212,13 +204,12 @@ let commit_block t (b : block) =
               le_dag = 0;
               le_rule = Anchors.Certified_direct;
               le_seq = seq;
-              le_submitted = submitted;
+              le_submitted = tx.Transaction.submitted_at;
               le_batched = b.jb_created_at;
               le_included = b.jb_created_at;
               le_committed = now;
               le_ordered = now;
             }
-        end
       end)
     b.jb_txns
 
@@ -525,7 +516,7 @@ let create setup =
   let backend = Backend_sim.backend world in
   let metrics = Metrics.create ~warmup_ms:setup.warmup_ms () in
   let telemetry = Telemetry.create () in
-  let ledger = Ledger.create ~telemetry () in
+  let ledger = Ledger.create ~telemetry ~metrics () in
   let genesis_qc =
     { qc_round = -1; qc_digest = committee.Committee.genesis; qc_signers = [] }
   in
@@ -536,7 +527,6 @@ let create setup =
           id;
           setup;
           backend;
-          metrics;
           ledger;
           ordered_seq = 0;
           genesis_qc;
@@ -570,9 +560,6 @@ let create setup =
           c_withheld = Obs.counter obs "fault.withheld_proposals";
           c_delayed = Obs.counter obs "fault.delayed_votes";
           c_syncs = Obs.counter obs "dag.fetches";
-          h_submit_block = Obs.histogram obs "stage.submit_to_batch";
-          h_block_commit = Obs.histogram obs "stage.proposal_to_commit";
-          h_e2e = Obs.histogram obs "latency.e2e";
         })
   in
   Array.iter
@@ -714,18 +701,8 @@ let report c ~duration_ms =
     ()
 
 let committed_consistent c =
-  let logs = Array.map (fun r -> Array.of_list (List.rev r.committed_log)) c.c_replicas in
-  let ok = ref true in
-  let n = Array.length logs in
-  for a = 0 to n - 1 do
-    for b = a + 1 to n - 1 do
-      let common = min (Array.length logs.(a)) (Array.length logs.(b)) in
-      for i = 0 to common - 1 do
-        if not (Digest32.equal logs.(a).(i) logs.(b).(i)) then ok := false
-      done
-    done
-  done;
-  !ok
+  Commit_log.prefixes_agree ~equal:Digest32.equal
+    (Array.map (fun r -> Array.of_list (List.rev r.committed_log)) c.c_replicas)
 
 let timeouts_fired c = Array.fold_left (fun acc r -> acc + r.ntimeouts) 0 c.c_replicas
 let rounds_reached c = Array.fold_left (fun acc r -> max acc r.current_round) 0 c.c_replicas

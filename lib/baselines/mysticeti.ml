@@ -18,6 +18,7 @@ module Mempool = Shoalpp_workload.Mempool
 module Metrics = Shoalpp_runtime.Metrics
 module Report = Shoalpp_runtime.Report
 module Ledger = Shoalpp_runtime.Ledger
+module Commit_log = Shoalpp_runtime.Commit_log
 module Rng = Shoalpp_support.Rng
 module Obs = Shoalpp_sim.Obs
 module Trace = Shoalpp_sim.Trace
@@ -82,7 +83,6 @@ type replica = {
   id : int;
   setup : setup;
   backend : msg Backend.t;
-  metrics : Metrics.t;
   mempool : Mempool.t;
   store : Store.t;
   driver : Driver.t;
@@ -110,9 +110,6 @@ type replica = {
   c_equiv : Telemetry.counter option;
   c_withheld : Telemetry.counter option;
   c_delayed : Telemetry.counter option;
-  h_submit_block : Telemetry.Histogram.t option;
-  h_block_commit : Telemetry.Histogram.t option;
-  h_e2e : Telemetry.Histogram.t option;
 }
 
 let quorum r = Committee.quorum r.setup.committee
@@ -348,15 +345,12 @@ type cluster = {
   mutable c_started : bool;
 }
 
-let make_replica setup ~backend ~metrics ~telemetry ~ledger id =
+let make_replica setup ~backend ~telemetry ~ledger id =
   let committee = setup.committee in
   let store =
     Store.create ~n:committee.Committee.n ~genesis_digest:committee.Committee.genesis
   in
   let obs = Obs.make ?trace:setup.trace ~telemetry ~replica:id ~instance:0 () in
-  let h_submit_block = Obs.histogram obs "stage.submit_to_batch" in
-  let h_block_commit = Obs.histogram obs "stage.proposal_to_commit" in
-  let h_e2e = Obs.histogram obs "latency.e2e" in
   let log = ref [] in
   let next_seq = ref 0 in
   let replica_ref = ref None in
@@ -394,13 +388,7 @@ let make_replica setup ~backend ~metrics ~telemetry ~ledger id =
                 let batch = node.Types.batch in
                 List.iter
                   (fun (tx : Transaction.t) ->
-                    Metrics.observe_commit metrics
-                      ~origin_ordered:(tx.Transaction.origin = id) ~tx ~now;
-                    if tx.Transaction.origin = id then begin
-                      let submitted = tx.Transaction.submitted_at in
-                      Obs.observe_h h_submit_block (batch.Batch.created_at -. submitted);
-                      Obs.observe_h h_block_commit (now -. node.Types.created_at);
-                      Obs.observe_h h_e2e (now -. submitted);
+                    if tx.Transaction.origin = id then
                       Ledger.record ledger
                         {
                           Ledger.le_tx = tx.Transaction.id;
@@ -408,13 +396,12 @@ let make_replica setup ~backend ~metrics ~telemetry ~ledger id =
                           le_dag = 0;
                           le_rule = Ledger.rule_of_kind segment.Driver.kind;
                           le_seq = seq;
-                          le_submitted = submitted;
+                          le_submitted = tx.Transaction.submitted_at;
                           le_batched = batch.Batch.created_at;
                           le_included = node.Types.created_at;
                           le_committed = segment.Driver.committed_at;
                           le_ordered = now;
-                        }
-                    end)
+                        })
                   batch.Batch.txns)
               segment.Driver.nodes);
         request_gc = (fun ~round -> ignore (Store.prune_below store ~round));
@@ -433,7 +420,6 @@ let make_replica setup ~backend ~metrics ~telemetry ~ledger id =
       id;
       setup;
       backend;
-      metrics;
       mempool = Mempool.create ();
       store;
       driver;
@@ -459,9 +445,6 @@ let make_replica setup ~backend ~metrics ~telemetry ~ledger id =
       c_equiv = Obs.counter obs "fault.equivocations";
       c_withheld = Obs.counter obs "fault.withheld_proposals";
       c_delayed = Obs.counter obs "fault.delayed_votes";
-      h_submit_block;
-      h_block_commit;
-      h_e2e;
     }
   in
   replica_ref := Some r;
@@ -480,9 +463,8 @@ let create setup =
   let backend = Backend_sim.backend world in
   let metrics = Metrics.create ~warmup_ms:setup.warmup_ms () in
   let telemetry = Telemetry.create () in
-  let ledger = Ledger.create ~telemetry () in
-  let replicas =
-    Array.init n (fun id -> make_replica setup ~backend ~metrics ~telemetry ~ledger id)
+  let ledger = Ledger.create ~telemetry ~metrics () in
+  let replicas = Array.init n (fun id -> make_replica setup ~backend ~telemetry ~ledger id)
   in
   Array.iter
     (fun r -> Backend.set_handler backend r.id (fun ~src:_ msg -> handle_message r msg))
@@ -615,18 +597,9 @@ let report c ~duration_ms =
     ()
 
 let logs_consistent c =
-  let logs = Array.map (fun r -> Array.of_list (List.rev !(r.log))) c.c_replicas in
-  let ok = ref true in
-  let n = Array.length logs in
-  for a = 0 to n - 1 do
-    for b = a + 1 to n - 1 do
-      let common = min (Array.length logs.(a)) (Array.length logs.(b)) in
-      for i = 0 to common - 1 do
-        if logs.(a).(i) <> logs.(b).(i) then ok := false
-      done
-    done
-  done;
-  !ok
+  Commit_log.prefixes_agree
+    ~equal:(fun (d, r, a) (d', r', a') -> Int.equal d d' && Int.equal r r' && Int.equal a a')
+    (Array.map (fun r -> Array.of_list (List.rev !(r.log))) c.c_replicas)
 
 let fetches_sent c = Array.fold_left (fun acc r -> acc + r.fetches) 0 c.c_replicas
 let blocks_stalled c = Array.fold_left (fun acc r -> acc + r.stalled) 0 c.c_replicas

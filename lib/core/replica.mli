@@ -87,10 +87,10 @@ val create :
     in memory so {!recover} can replay them.
 
     [trace]/[telemetry] (usually shared across the cluster) receive the typed
-    event stream and the metric registry. Counters aggregate across replicas;
-    the per-stage latency histograms ([stage.*], [latency.e2e]) and per-DAG
-    [dag<k>.txns]/[dag<k>.latency] are recorded only at each transaction's
-    origin replica, so each transaction is counted exactly once.
+    event stream and the metric registry; counters aggregate across
+    replicas. Per-transaction latency is not recorded here: the harness's
+    [on_ordered] hook owns it (the runtime's ledger records the [stage.*],
+    [latency.e2e] and [dag<k>.*] instruments once per origin commit).
 
     When [config]'s [checkpoint_interval] is positive the replica runs the
     bounded-memory lifecycle: every effective-interval merged segments it

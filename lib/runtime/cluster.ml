@@ -6,12 +6,9 @@ module Faults = Shoalpp_sim.Faults
 module Trace = Shoalpp_sim.Trace
 module Config = Shoalpp_core.Config
 module Replica = Shoalpp_core.Replica
-module Driver = Shoalpp_consensus.Driver
 module Mempool = Shoalpp_workload.Mempool
 module Client = Shoalpp_workload.Client
 module Transaction = Shoalpp_workload.Transaction
-module Batch = Shoalpp_workload.Batch
-module Types = Shoalpp_dag.Types
 module Telemetry = Shoalpp_support.Telemetry
 
 type setup = {
@@ -43,28 +40,18 @@ let default_setup ~protocol =
     trace = None;
   }
 
-(* A compact identifier for one ordered segment, for the prefix audit. *)
-type seg_id = { sdag : int; sround : int; sauthor : int }
-
 type t = {
   setup : setup;
   world : Replica.envelope Backend_sim.t;
   backend : Replica.envelope Backend.t;
-  mutable replicas : Replica.t array;
+  replicas : Replica.t array;
   mempools : Mempool.t array;
   clients : Client.t option array;
   metrics : Metrics.t;
   telemetry : Telemetry.t; (* one registry shared by all replicas *)
-  ledger : Ledger.t; (* per-commit latency records, fed from on_ordered *)
-  logs : seg_id list ref array; (* newest first; only when track_logs *)
-  ordered_seen : (int, unit) Hashtbl.t array; (* per-replica txn dedup *)
-  recovering : bool array; (* WAL replay in progress: metrics/dedup muted *)
-  (* Pre-crash (base seq, log snapshot) per recovered replica: the rebuilt
-     log must extend it above the restored checkpoint (crash-recovery
-     safety audit). *)
-  pre_recovery : (int, int * seg_id list) Hashtbl.t;
+  ledger : Ledger.t; (* the origin-commit hook feeding metrics + telemetry *)
+  log : Commit_log.t;
   next_id : int ref; (* shared client tx-id counter (survives restarts) *)
-  mutable duplicate_orders : int;
   mutable started : bool;
   mutable fault : Fault_schedule.t;
 }
@@ -83,97 +70,39 @@ let create setup =
   let backend = Backend_sim.backend world in
   let metrics = Metrics.create ~warmup_ms:setup.warmup_ms () in
   let telemetry = Telemetry.create () in
-  let ledger = Ledger.create ~telemetry () in
+  let num_dags = setup.protocol.Config.num_dags in
+  let ledger = Ledger.create ~telemetry ~metrics ~lanes:num_dags () in
+  let log = Commit_log.create ~n ~num_dags ~track_logs:setup.track_logs ~ledger () in
   let mempools = Array.init n (fun _ -> Mempool.create ()) in
-  let logs = Array.init n (fun _ -> ref []) in
-  let ordered_seen = Array.init n (fun _ -> Hashtbl.create 4096) in
-  let recovering = Array.make n false in
-  let t =
-    {
-      setup;
-      world;
-      backend;
-      replicas = [||];
-      mempools;
-      clients = Array.make n None;
-      metrics;
-      telemetry;
-      ledger;
-      logs;
-      ordered_seen;
-      recovering;
-      pre_recovery = Hashtbl.create 4;
-      next_id = ref 0;
-      duplicate_orders = 0;
-      started = false;
-      fault;
-    }
-  in
-  (* The on_ordered closures capture [t] and mutate its counters, so the
-     replicas are installed by mutation — a functional record copy here
-     would leave the closures updating a dead record. *)
-  t.replicas <-
+  let replicas =
     Array.init n (fun replica_id ->
-        let on_ordered (o : Replica.ordered) =
-          let seg = o.Replica.segment in
-          if setup.track_logs then begin
-            let anchor = seg.Driver.anchor in
-            logs.(replica_id) :=
-              {
-                sdag = seg.Driver.dag_id;
-                sround = anchor.Types.ref_round;
-                sauthor = anchor.Types.ref_author;
-              }
-              :: !(logs.(replica_id))
-          end;
-          List.iter
-            (fun (cn : Types.certified_node) ->
-              let node = cn.Types.cn_node in
-              let batch = node.Types.batch in
-              List.iter
-                (fun (tx : Transaction.t) ->
-                  if setup.track_logs then begin
-                    if Hashtbl.mem ordered_seen.(replica_id) tx.Transaction.id then begin
-                      (* WAL replay re-orders history by design; only a
-                         repeat outside recovery is a safety violation. *)
-                      if not recovering.(replica_id) then
-                        t.duplicate_orders <- t.duplicate_orders + 1
-                    end
-                    else Hashtbl.replace ordered_seen.(replica_id) tx.Transaction.id ()
-                  end;
-                  if not recovering.(replica_id) then begin
-                    Metrics.observe_commit metrics
-                      ~origin_ordered:(tx.Transaction.origin = replica_id)
-                      ~tx ~now:o.Replica.ordered_at;
-                    if tx.Transaction.origin = replica_id then
-                      Ledger.record ledger
-                        {
-                          Ledger.le_tx = tx.Transaction.id;
-                          le_origin = replica_id;
-                          le_dag = seg.Driver.dag_id;
-                          le_rule = Ledger.rule_of_kind seg.Driver.kind;
-                          le_seq = o.Replica.global_seq;
-                          le_submitted = tx.Transaction.submitted_at;
-                          le_batched = batch.Batch.created_at;
-                          le_included = node.Types.created_at;
-                          le_committed = seg.Driver.committed_at;
-                          le_ordered = o.Replica.ordered_at;
-                        }
-                  end)
-                batch.Batch.txns)
-            seg.Driver.nodes
-        in
         Replica.create ~config:setup.protocol ~replica_id ~backend
           ~mempool:mempools.(replica_id)
-          ~on_ordered
+          ~on_ordered:(Commit_log.on_ordered log ~replica:replica_id)
           (* Recovery completion is asynchronous once peer catch-up sync is
-             involved: metrics/dedup stay muted until every lane is live. *)
-          ~on_caught_up:(fun () -> recovering.(replica_id) <- false)
+             involved: the ledger and dedup stay muted until every lane is
+             live. *)
+          ~on_caught_up:(fun () -> Commit_log.caught_up log ~replica:replica_id)
           ?trace:setup.trace ~telemetry
           ~byzantine:(Faults.byzantine_for setup.scenario ~n ~replica:replica_id)
           ~retain_wal:(Faults.has_recovery setup.scenario)
-          ());
-  t
+          ())
+  in
+  {
+    setup;
+    world;
+    backend;
+    replicas;
+    mempools;
+    clients = Array.make n None;
+    metrics;
+    telemetry;
+    ledger;
+    log;
+    next_id = ref 0;
+    started = false;
+    fault;
+  }
 
 let engine t = t.world.Backend_sim.engine
 let net t = t.world.Backend_sim.net
@@ -207,15 +136,10 @@ let recover_now t i =
   let now = Backend.now t.backend in
   t.fault <- Fault_schedule.recover t.fault ~replica:i ~at:now;
   Backend_sim.set_fault t.world t.fault;
-  (* The rebuilt log must re-derive everything ordered before the crash
-     (above the restored checkpoint): snapshot it for the audit, then let
-     replay + catch-up repopulate. [recovering] clears in the replica's
-     on_caught_up callback — synchronously for a local-only recovery,
-     after peer sync completes otherwise. *)
-  Hashtbl.replace t.pre_recovery i (Replica.base_seq t.replicas.(i), !(t.logs.(i)));
-  t.logs.(i) := [];
-  Hashtbl.reset t.ordered_seen.(i);
-  t.recovering.(i) <- true;
+  (* Recording resumes in the replica's on_caught_up callback —
+     synchronously for a local-only recovery, after peer sync completes
+     otherwise. *)
+  Commit_log.begin_recovery t.log ~replica:i ~base_seq:(Replica.base_seq t.replicas.(i));
   Replica.recover t.replicas.(i);
   start_client t i
 
@@ -272,85 +196,12 @@ let crash_now t i =
   Backend_sim.set_fault t.world t.fault;
   apply_crash t i
 
-type audit = {
-  consistent_prefixes : bool;
-  prefix_length : int;
-  duplicate_orders : int;
-  total_segments : int;
-  recovery_prefix_ok : bool;
-}
-
-let audit t =
-  let logs = Array.map (fun l -> Array.of_list (List.rev !l)) t.logs in
-  (* A checkpoint-recovered replica's log starts at its base sequence, not
-     0, so every comparison runs in global-sequence coordinates: pairwise
-     agreement is checked over each pair's overlapping seq range. *)
-  let bases = Array.mapi (fun i _ -> Replica.base_seq t.replicas.(i)) logs in
-  let min_len =
-    Array.fold_left min max_int
-      (Array.mapi (fun i l -> bases.(i) + Array.length l) logs)
-  in
-  let min_len = if min_len = max_int then 0 else min_len in
-  let consistent = ref true in
-  let n = Array.length logs in
-  for a = 0 to n - 1 do
-    for b = a + 1 to n - 1 do
-      let lo = max bases.(a) bases.(b) in
-      let hi =
-        min (bases.(a) + Array.length logs.(a)) (bases.(b) + Array.length logs.(b))
-      in
-      for seq = lo to hi - 1 do
-        if logs.(a).(seq - bases.(a)) <> logs.(b).(seq - bases.(b)) then consistent := false
-      done
-    done
-  done;
-  (* Each recovered replica's rebuilt log must extend what it had ordered
-     before the crash — replay + catch-up may not lose or reorder history.
-     Both logs are compared in global-sequence coordinates: entries below
-     the post-recovery base were pruned under a certified checkpoint and
-     are vouched for by its digest, not by replay. *)
-  let recovery_ok = ref true in
-  Shoalpp_support.Sorted_tbl.iter ~cmp:Int.compare
-    (fun i (pre_base, snapshot) ->
-      let pre = Array.of_list (List.rev snapshot) in
-      let post = logs.(i) in
-      let post_base = Replica.base_seq t.replicas.(i) in
-      if post_base + Array.length post < pre_base + Array.length pre then
-        recovery_ok := false
-      else
-        Array.iteri
-          (fun k s ->
-            let seq = pre_base + k in
-            if seq >= post_base && post.(seq - post_base) <> s then recovery_ok := false)
-          pre)
-    t.pre_recovery;
-  {
-    consistent_prefixes = !consistent;
-    prefix_length = min_len;
-    duplicate_orders = t.duplicate_orders;
-    total_segments = Array.fold_left (fun acc l -> max acc (Array.length l)) 0 logs;
-    recovery_prefix_ok = !recovery_ok;
-  }
+let audit t = Commit_log.audit t.log ~bases:(Array.map Replica.base_seq t.replicas)
 
 let report t ~duration_ms =
-  let net_stats = Backend.stats t.backend in
-  let sum f =
-    Array.fold_left
-      (fun acc r -> List.fold_left (fun acc s -> acc + f s) acc (Replica.driver_stats r))
-      0 t.replicas
-  in
-  let submitted = Array.fold_left (fun acc m -> acc + Mempool.submitted m) 0 t.mempools in
-  Report.make ~name:t.setup.protocol.Config.name ~n:(Array.length t.replicas)
-    ~load_tps:t.setup.load_tps ~duration_ms ~submitted ~metrics:t.metrics
-    ~fast_commits:(sum (fun s -> s.Driver.fast_commits))
-    ~direct_commits:(sum (fun s -> s.Driver.direct_commits))
-    ~indirect_commits:(sum (fun s -> s.Driver.indirect_commits))
-    ~skipped_anchors:(sum (fun s -> s.Driver.skipped_anchors))
-    ~messages_sent:net_stats.Backend.Transport.sent
-    ~messages_dropped:(net_stats.Backend.Transport.dropped + net_stats.Backend.Transport.partitioned)
-    ~bytes_sent:net_stats.Backend.Transport.bytes
+  Report.of_replicas ~name:t.setup.protocol.Config.name ~replicas:t.replicas ~mempools:t.mempools
+    ~load_tps:t.setup.load_tps ~duration_ms ~metrics:t.metrics ~net:(Backend.stats t.backend)
     ~telemetry:(Telemetry.snapshot t.telemetry)
     ~trace_dropped:(match t.setup.trace with Some tr -> Trace.dropped tr | None -> 0)
-    ()
 
 let pp_report = Report.pp

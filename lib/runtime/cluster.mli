@@ -9,10 +9,11 @@
     the network view and the replica view consistently.
 
     The cluster also performs the safety audit the paper's correctness
-    section promises: after a run, every pair of replicas' global logs must
-    agree on their common prefix, no replica may order the same transaction
-    twice (outside WAL replay, which re-orders history by design), and a
-    recovered replica's rebuilt log must extend its pre-crash log.
+    section promises, through a {!Commit_log} (shared with {!Node}): after
+    a run, every pair of replicas' global logs must agree on their common
+    prefix, no replica may order the same transaction twice (outside WAL
+    replay, which re-orders history by design), and a recovered replica's
+    rebuilt log must extend its pre-crash log.
 
     Invariants:
     - the scenario is materialized exactly once, at {!create}, against this
@@ -21,7 +22,10 @@
       schedule and cannot disagree;
     - runs are a pure function of the setup (seed included): re-creating a
       cluster from equal setups and running to the same horizon yields
-      identical logs, metrics and telemetry. *)
+      identical logs, metrics and telemetry;
+    - every ordered segment reaches the {!Commit_log}, and every origin
+      commit outside recovery reaches {!ledger} exactly once, which alone
+      feeds {!metrics} and the per-transaction telemetry histograms. *)
 
 type t
 
@@ -61,14 +65,15 @@ val metrics : t -> Metrics.t
 
 val telemetry : t -> Shoalpp_support.Telemetry.t
 (** The cluster's shared metric registry (always created; counters aggregate
-    across replicas, per-stage histograms record each transaction once at
-    its origin). *)
+    across replicas, the ledger records each transaction's stage histograms
+    once at its origin). *)
 
 val ledger : t -> Ledger.t
 (** Per-commit latency ledger (always created, registered on the shared
-    telemetry): one entry per origin transaction at its origin's commit,
-    outside WAL replay. Recording is effect-free beyond the ring and the
-    registry, so traced runs stay byte-identical. *)
+    telemetry, feeding {!metrics}): one entry per origin transaction at its
+    origin's commit, outside WAL replay. Recording is effect-free beyond the
+    ring, the metrics and the registry, so traced runs stay
+    byte-identical. *)
 
 val trace : t -> Shoalpp_sim.Trace.t option
 
@@ -85,17 +90,9 @@ val recover_now : t -> int -> unit
     restart its client. The pre-crash log is snapshotted for the
     [recovery_prefix_ok] audit. *)
 
-type audit = {
-  consistent_prefixes : bool;
-  prefix_length : int;  (** length of the shortest replica log *)
-  duplicate_orders : int;  (** txns ordered twice by the same replica *)
-  total_segments : int;
-  recovery_prefix_ok : bool;
-      (** every recovered replica's rebuilt log extends its pre-crash log
-          (vacuously true when nothing recovered) *)
-}
-
-val audit : t -> audit
+val audit : t -> Commit_log.audit
+(** The safety audit ({!Commit_log.audit}) over the replicas' logs;
+    empty logs, and so a vacuous audit, when [track_logs] is off. *)
 
 val report : t -> duration_ms:float -> Report.t
 val pp_report : Format.formatter -> Report.t -> unit

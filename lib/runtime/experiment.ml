@@ -221,9 +221,9 @@ let run_dag system params =
   {
     report;
     audit_ok =
-      audit.Cluster.consistent_prefixes
-      && audit.Cluster.duplicate_orders = 0
-      && audit.Cluster.recovery_prefix_ok;
+      audit.Commit_log.consistent_prefixes
+      && audit.Commit_log.duplicate_orders = 0
+      && audit.Commit_log.recovery_prefix_ok;
     throughput_series = Metrics.throughput_series (Cluster.metrics cluster);
     latency_series = Metrics.latency_series (Cluster.metrics cluster);
     requeued;

@@ -1,19 +1,22 @@
-(* Per-commit latency ledger: one compact timestamp record per transaction
-   at its origin replica's commit, tagged with the DAG lane and the commit
-   rule that resolved its anchor.
+(* Per-commit latency ledger: the single origin-commit hook of every
+   system. Each harness calls [record] exactly once per transaction, at its
+   origin replica's commit, outside WAL replay; everything downstream is
+   derived here:
 
-   The ledger is the per-commit refinement of the sampled stage histograms:
-   where [stage.*] aggregates every origin commit into one histogram per
-   stage, the ledger keys the same stage deltas by (DAG lane x commit rule)
-   — so a fast-path commit's pipeline can be compared against an indirect
-   one's, which is exactly the attribution Shoal++'s latency claims are
-   made of — and additionally retains a bounded ring of raw entries for the
-   admin endpoint's JSON tail.
+   - the run's {!Metrics} (end-to-end latency and throughput, §8);
+   - the run-wide [stage.*] / [latency.e2e] histograms and the per-lane
+     [dag<k>.txns] / [dag<k>.latency] attribution;
+   - the same stage deltas keyed by (DAG lane x commit rule), so a
+     fast-path commit's pipeline can be compared against an indirect
+     one's, which is exactly the attribution Shoal++'s latency claims are
+     made of;
+   - a bounded ring of raw entries for the admin endpoint's JSON tail.
 
-   Determinism: recording only mutates this ring and (when a registry is
-   attached) telemetry histograms. It emits no trace events, schedules no
-   timers and performs no I/O, so attaching a ledger to the simulated
-   cluster leaves golden trace digests and event counts byte-identical. *)
+   Determinism: recording only mutates this ring, the metrics and (when a
+   registry is attached) telemetry instruments. It emits no trace events,
+   schedules no timers and performs no I/O, so attaching a ledger to the
+   simulated cluster leaves golden trace digests and event counts
+   byte-identical. *)
 
 module Telemetry = Shoalpp_support.Telemetry
 module Tablefmt = Shoalpp_support.Tablefmt
@@ -33,18 +36,19 @@ type entry = {
   le_ordered : float;
 }
 
-(* Pipeline stages in order; each is a delta (ms) between two of the five
+(* Pipeline stages in order: the ledger's key, the run-wide histogram the
+   stage also feeds, and its delta (ms) between two of the five
    timestamps. [e2e] spans the whole pipeline and is listed last. *)
 let stages =
-  [
-    ("submit_to_batch", fun e -> e.le_batched -. e.le_submitted);
-    ("batch_to_inclusion", fun e -> e.le_included -. e.le_batched);
-    ("inclusion_to_commit", fun e -> e.le_committed -. e.le_included);
-    ("commit_to_order", fun e -> e.le_ordered -. e.le_committed);
-    ("e2e", fun e -> e.le_ordered -. e.le_submitted);
-  ]
+  [|
+    ("submit_to_batch", "stage.submit_to_batch", fun e -> e.le_batched -. e.le_submitted);
+    ("batch_to_inclusion", "stage.batch_to_proposal", fun e -> e.le_included -. e.le_batched);
+    ("inclusion_to_commit", "stage.proposal_to_commit", fun e -> e.le_committed -. e.le_included);
+    ("commit_to_order", "stage.commit_to_order", fun e -> e.le_ordered -. e.le_committed);
+    ("e2e", "latency.e2e", fun e -> e.le_ordered -. e.le_submitted);
+  |]
 
-let stage_names = List.map fst stages
+let stage_names = Array.to_list (Array.map (fun (key, _, _) -> key) stages)
 
 let rule_of_kind = function
   | Driver.Fast -> Anchors.Fast_direct
@@ -65,6 +69,7 @@ let metric_name ~dag ~rule stage =
 
 type t = {
   telemetry : Telemetry.t option;
+  metrics : Metrics.t option;
   capacity : int;
   ring : entry option array;
   mutable next : int;  (* ring slot the next entry lands in *)
@@ -73,20 +78,45 @@ type t = {
      index + five observes on the hot path after the first commit of each
      (lane, rule) pair. *)
   handles : (int, Telemetry.Histogram.t array) Hashtbl.t;
+  totals : Telemetry.Histogram.t array; (* run-wide, in [stages] order *)
+  lanes : (int, Telemetry.counter * Telemetry.Histogram.t) Hashtbl.t;
 }
 
 let default_capacity = 4096
 
-let create ?telemetry ?(capacity = default_capacity) () =
+let lane_for t tel dag =
+  match Hashtbl.find_opt t.lanes dag with
+  | Some h -> h
+  | None ->
+    let h =
+      ( Telemetry.counter tel (Printf.sprintf "dag%d.txns" dag),
+        Telemetry.histogram tel (Printf.sprintf "dag%d.latency" dag) )
+    in
+    Hashtbl.replace t.lanes dag h;
+    h
+
+let create ?telemetry ?metrics ?(lanes = 0) ?(capacity = default_capacity) () =
   let capacity = max 1 capacity in
-  {
-    telemetry;
-    capacity;
-    ring = Array.make capacity None;
-    next = 0;
-    total = 0;
-    handles = Hashtbl.create 16;
-  }
+  let t =
+    {
+      telemetry;
+      metrics;
+      capacity;
+      ring = Array.make capacity None;
+      next = 0;
+      total = 0;
+      handles = Hashtbl.create 16;
+      totals =
+        (match telemetry with
+        | Some tel -> Array.map (fun (_, name, _) -> Telemetry.histogram tel name) stages
+        | None -> [||]);
+      lanes = Hashtbl.create 8;
+    }
+  in
+  (* Registered up front so a lane with no origin commit still reports an
+     explicit zero row. *)
+  Option.iter (fun tel -> for dag = 0 to lanes - 1 do ignore (lane_for t tel dag) done) telemetry;
+  t
 
 let handles_for t tel ~dag ~rule =
   let key = (dag * 4) + rule_index rule in
@@ -94,8 +124,7 @@ let handles_for t tel ~dag ~rule =
   | Some hs -> hs
   | None ->
     let hs =
-      Array.of_list
-        (List.map (fun (stage, _) -> Telemetry.histogram tel (metric_name ~dag ~rule stage)) stages)
+      Array.map (fun (stage, _, _) -> Telemetry.histogram tel (metric_name ~dag ~rule stage)) stages
     in
     Hashtbl.replace t.handles key hs;
     hs
@@ -104,11 +133,22 @@ let record t e =
   t.ring.(t.next) <- Some e;
   t.next <- (t.next + 1) mod t.capacity;
   t.total <- t.total + 1;
+  Option.iter
+    (fun m -> Metrics.observe_commit m ~submitted:e.le_submitted ~now:e.le_ordered)
+    t.metrics;
   match t.telemetry with
   | None -> ()
   | Some tel ->
     let hs = handles_for t tel ~dag:e.le_dag ~rule:e.le_rule in
-    List.iteri (fun i (_, delta) -> Telemetry.observe hs.(i) (delta e)) stages
+    Array.iteri
+      (fun i (_, _, delta) ->
+        let v = delta e in
+        Telemetry.observe hs.(i) v;
+        Telemetry.observe t.totals.(i) v)
+      stages;
+    let txns, latency = lane_for t tel e.le_dag in
+    Telemetry.incr txns;
+    Telemetry.observe latency (e.le_ordered -. e.le_submitted)
 
 let recorded t = t.total
 let capacity t = t.capacity
@@ -170,17 +210,17 @@ let row_of_stats (hs : Telemetry.histogram_stats) =
     when String.length dagpart > 3 && String.equal (String.sub dagpart 0 3) "dag" ->
     let dag = int_of_string_opt (String.sub dagpart 3 (String.length dagpart - 3)) in
     let rule = rule_of_tag ruletag in
-    (match (dag, rule, List.mem_assoc stage stages) with
+    (match (dag, rule, List.mem stage stage_names) with
     | Some dag, Some rule, true -> Some { br_dag = dag; br_rule = rule; br_stage = stage; br_stats = hs }
     | _ -> None)
   | _ -> None
 
 let stage_order stage =
   let rec go i = function
-    | [] -> List.length stages
-    | (s, _) :: rest -> if String.equal s stage then i else go (i + 1) rest
+    | [] -> i
+    | s :: rest -> if String.equal s stage then i else go (i + 1) rest
   in
-  go 0 stages
+  go 0 stage_names
 
 let breakdown snap =
   snap.Telemetry.snap_histograms

@@ -1,25 +1,34 @@
-(** Per-commit latency ledger: one timestamp record per transaction at its
-    origin replica's commit, tagged with DAG lane and commit rule.
+(** Per-commit latency ledger: the one origin-commit hook. Every system
+    calls {!record} once per transaction, at its origin replica's commit,
+    and every per-transaction latency figure of the run is derived from
+    that call:
 
-    This refines the sampled [stage.*] histograms into per-commit
-    attribution: the same five pipeline timestamps (submit, batch,
-    DAG inclusion, anchor commit, global order) are kept per transaction,
-    their stage deltas are aggregated into telemetry histograms keyed
-    [ledger.dag<k>.<rule_tag>.<stage>], and a bounded ring of raw entries
-    backs the admin endpoint's [/ledger] JSON tail.
+    - the run's {!Metrics} (end-to-end latency and throughput, §8), when
+      {!create} is given one;
+    - the run-wide histograms [stage.submit_to_batch],
+      [stage.batch_to_proposal], [stage.proposal_to_commit],
+      [stage.commit_to_order] and [latency.e2e], plus the per-lane counter
+      [dag<k>.txns] and histogram [dag<k>.latency] (read by {!Report},
+      {!Prom} and the [--metrics-out] exports);
+    - the same stage deltas keyed by DAG lane and commit rule, as
+      histograms [ledger.dag<k>.<rule_tag>.<stage>];
+    - a bounded ring of raw entries behind the admin endpoint's [/ledger]
+      JSON tail.
 
-    All three systems feed it from their commit hooks: the Shoal++
-    harnesses ({!Cluster}, {!Node}) from their [on_ordered] callbacks, the
-    baselines from their block/segment commit paths.
+    Callers: the Shoal++ harnesses ({!Cluster}, {!Node}) through
+    {!Commit_log.on_ordered}, the baselines from their block/segment
+    commit paths.
 
     Invariants:
-    - recording is effect-free beyond this ring and the attached telemetry
-      registry: no trace events, no scheduled timers, no I/O — a ledger on
-      the simulated cluster leaves golden trace digests, event counts and
-      exported trace bytes byte-identical;
+    - recording is effect-free beyond this ring, the attached metrics and
+      the attached telemetry registry: no trace events, no scheduled
+      timers, no I/O — a ledger on the simulated cluster leaves golden
+      trace digests, event counts and exported trace bytes
+      byte-identical;
     - each origin transaction is recorded at most once (call sites record
       only [origin = replica_id] commits outside WAL replay), so
-      [recorded] counts unique origin commits;
+      [recorded] counts unique origin commits and every run-wide stage
+      histogram has exactly [recorded] observations;
     - the ring keeps the newest [capacity] entries; {!dropped} = total
       recorded - retained, never negative;
     - {!breakdown} rows are deterministically ordered (DAG id, then rule,
@@ -38,12 +47,10 @@ type entry = {
   le_ordered : float;  (** ms: segment interleaved into the global log *)
 }
 
-val stages : (string * (entry -> float)) list
-(** Pipeline stages in order ([submit_to_batch], [batch_to_inclusion],
-    [inclusion_to_commit], [commit_to_order]) plus [e2e]; each maps an
-    entry to its stage latency in ms. *)
-
 val stage_names : string list
+(** The ledger's stage keys in pipeline order ([submit_to_batch],
+    [batch_to_inclusion], [inclusion_to_commit], [commit_to_order]) plus
+    [e2e]. *)
 
 val rule_of_kind : Shoalpp_consensus.Driver.kind -> Shoalpp_consensus.Anchors.rule
 (** Committed segments map [Fast -> Fast_direct], [Direct ->
@@ -59,9 +66,19 @@ type t
 
 val default_capacity : int
 
-val create : ?telemetry:Shoalpp_support.Telemetry.t -> ?capacity:int -> unit -> t
+val create :
+  ?telemetry:Shoalpp_support.Telemetry.t ->
+  ?metrics:Metrics.t ->
+  ?lanes:int ->
+  ?capacity:int ->
+  unit ->
+  t
 (** [capacity] (clamped to >= 1) bounds the raw-entry ring; histograms, if
-    a registry is given, aggregate every entry regardless. *)
+    a registry is given, aggregate every entry regardless. The run-wide
+    stage histograms are registered at once, as are the [dag<k>.*]
+    instruments of lanes [0 .. lanes - 1] (default 0; other lanes register
+    at their first entry), so a stage or lane that never commits still
+    shows an explicit zero row. *)
 
 val record : t -> entry -> unit
 

@@ -1,5 +1,4 @@
 module Stats = Shoalpp_support.Stats
-module Transaction = Shoalpp_workload.Transaction
 
 type t = {
   warmup_ms : float;
@@ -7,7 +6,6 @@ type t = {
   commits : Stats.Windowed.t; (* count per window *)
   latency_windows : Stats.Windowed.t; (* sum of latency per window *)
   mutable committed : int;
-  mutable submitted : int;
 }
 
 let create ?(warmup_ms = 0.0) ?(window_ms = 1000.0) () =
@@ -17,7 +15,6 @@ let create ?(warmup_ms = 0.0) ?(window_ms = 1000.0) () =
     commits = Stats.Windowed.create ~width:window_ms;
     latency_windows = Stats.Windowed.create ~width:window_ms;
     committed = 0;
-    submitted = 0;
   }
 
 (* One warmup rule for every view of the data: a commit counts iff it
@@ -28,19 +25,17 @@ let create ?(warmup_ms = 0.0) ?(window_ms = 1000.0) () =
    time would let a pre-warmup backlog leak into one view but not the
    other. A transaction submitted during warmup but committed after it still
    measures the steady-state commit path, so it is included. *)
-let observe_commit t ~origin_ordered ~tx ~now =
-  if origin_ordered && now >= t.warmup_ms then begin
-    let lat = now -. tx.Transaction.submitted_at in
+let observe_commit t ~submitted ~now =
+  if now >= t.warmup_ms then begin
+    let lat = now -. submitted in
     t.committed <- t.committed + 1;
     Stats.Summary.add t.latency lat;
     Stats.Windowed.add t.commits ~time:now ~value:1.0;
     Stats.Windowed.add t.latency_windows ~time:now ~value:lat
   end
 
-let observe_submitted t = t.submitted <- t.submitted + 1
 let latency t = t.latency
 let committed t = t.committed
-let submitted t = t.submitted
 
 let committed_tps t ~duration_ms =
   let effective = duration_ms -. t.warmup_ms in

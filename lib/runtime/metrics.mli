@@ -3,7 +3,8 @@
     Latency is measured exactly as in the paper (§8): the time between a
     transaction's arrival at its local replica and the moment that replica
     appends a segment containing it to its global log. Throughput counts
-    each transaction once, at its origin replica's commit.
+    each transaction once, at its origin replica's commit. The only
+    producer is {!Ledger.record}, the single origin-commit hook.
 
     Invariants:
     - each transaction contributes to latency / throughput at most once —
@@ -28,18 +29,15 @@ val create : ?warmup_ms:float -> ?window_ms:float -> unit -> t
     steady-state commit path and is included). [window_ms] (default 1000)
     sizes time-series buckets. *)
 
-val observe_commit : t -> origin_ordered:bool -> tx:Shoalpp_workload.Transaction.t -> now:float -> unit
-(** Record a committed transaction. Latency/throughput count only when
-    [origin_ordered] (the committing replica is the transaction's origin);
-    the total commit counter counts every observation. *)
-
-val observe_submitted : t -> unit
+val observe_commit : t -> submitted:float -> now:float -> unit
+(** Record one origin commit of a transaction submitted at [submitted] and
+    ordered at [now] (both ms): latency [now - submitted]. Commits before
+    the warmup cutoff are ignored. *)
 
 val latency : t -> Shoalpp_support.Stats.Summary.t
 val committed : t -> int
 (** Unique transactions committed at their origin after warmup. *)
 
-val submitted : t -> int
 val committed_tps : t -> duration_ms:float -> float
 val throughput_series : t -> (float * float) list
 (** (window start ms, tx/s) commits per second over time — Fig 8's series. *)

@@ -3,7 +3,6 @@ module Realtime = Shoalpp_backend.Backend_realtime
 module Trace = Shoalpp_sim.Trace
 module Config = Shoalpp_core.Config
 module Replica = Shoalpp_core.Replica
-module Driver = Shoalpp_consensus.Driver
 module Types = Shoalpp_dag.Types
 module Committee = Shoalpp_dag.Committee
 module Mempool = Shoalpp_workload.Mempool
@@ -52,10 +51,6 @@ let default_setup ~protocol =
     retain_wal = false;
   }
 
-(* Anchor identity of one ordered segment — what the consistency audit
-   compares across replicas (node sets differ only transiently). *)
-type seg_id = { sdag : int; sround : int; sauthor : int }
-
 (* Multicore execution state (--domains > 1): one executor domain per DAG
    lane (shared clock origin with the main loop), per-lane-domain
    telemetry registries and trace rings (each touched by exactly one
@@ -77,17 +72,14 @@ type t = {
   backend : Replica.envelope Backend.t;
   stream : Replica.envelope Stream.t option; (* the socket transport, if any *)
   mc : multicore option;
-  mutable replicas : Replica.t array;
+  replicas : Replica.t array;
   mempools : Mempool.t array;
   clients : Client.t option array;
   metrics : Metrics.t;
   telemetry : Telemetry.t;
   ledger : Ledger.t;
-  logs : seg_id list ref array;
-  ordered_seen : (int, unit) Hashtbl.t array;
-  recovering : bool array; (* replay/catch-up in progress: metrics/dedup muted *)
+  log : Commit_log.t;
   next_id : int ref; (* shared client tx-id counter (survives restarts) *)
-  mutable duplicate_orders : int;
   mutable started : bool;
 }
 
@@ -211,80 +203,10 @@ let create setup =
   let mempools = Array.init n (fun _ -> Mempool.create ()) in
   let metrics = Metrics.create ~warmup_ms:setup.warmup_ms () in
   let telemetry = Telemetry.create () in
-  let ledger = Ledger.create ~telemetry () in
-  let logs = Array.init n (fun _ -> ref []) in
-  let ordered_seen = Array.init n (fun _ -> Hashtbl.create 256) in
-  let recovering = Array.make n false in
-  let t =
-    {
-      setup;
-      exec;
-      backend;
-      stream;
-      mc;
-      replicas = [||];
-      mempools;
-      clients = Array.make n None;
-      metrics;
-      telemetry;
-      ledger;
-      logs;
-      ordered_seen;
-      recovering;
-      next_id = ref 0;
-      duplicate_orders = 0;
-      started = false;
-    }
-  in
-  (* The on_ordered closures capture [t] and mutate its counters, so the
-     replicas are installed by mutation — a functional record copy here
-     would leave the closures updating a dead record. *)
-  t.replicas <-
+  let ledger = Ledger.create ~telemetry ~metrics ~lanes:k () in
+  let log = Commit_log.create ~n ~num_dags:k ~ledger () in
+  let replicas =
     Array.init n (fun replica_id ->
-        let on_ordered (o : Replica.ordered) =
-          let seg = o.Replica.segment in
-          let anchor = seg.Driver.anchor in
-          logs.(replica_id) :=
-            {
-              sdag = seg.Driver.dag_id;
-              sround = anchor.Types.ref_round;
-              sauthor = anchor.Types.ref_author;
-            }
-            :: !(logs.(replica_id));
-          List.iter
-            (fun (cn : Types.certified_node) ->
-              let node = cn.Types.cn_node in
-              let batch = node.Types.batch in
-              List.iter
-                (fun (tx : Transaction.t) ->
-                  (if Hashtbl.mem ordered_seen.(replica_id) tx.Transaction.id then begin
-                     (* Replay/catch-up re-orders history by design; only a
-                        repeat outside recovery is a safety violation. *)
-                     if not recovering.(replica_id) then
-                       t.duplicate_orders <- t.duplicate_orders + 1
-                   end
-                   else Hashtbl.replace ordered_seen.(replica_id) tx.Transaction.id ());
-                  if not recovering.(replica_id) then
-                    Metrics.observe_commit metrics
-                      ~origin_ordered:(tx.Transaction.origin = replica_id)
-                      ~tx ~now:o.Replica.ordered_at;
-                  if tx.Transaction.origin = replica_id && not recovering.(replica_id) then
-                    Ledger.record ledger
-                      {
-                        Ledger.le_tx = tx.Transaction.id;
-                        le_origin = replica_id;
-                        le_dag = seg.Driver.dag_id;
-                        le_rule = Ledger.rule_of_kind seg.Driver.kind;
-                        le_seq = o.Replica.global_seq;
-                        le_submitted = tx.Transaction.submitted_at;
-                        le_batched = batch.Batch.created_at;
-                        le_included = node.Types.created_at;
-                        le_committed = seg.Driver.committed_at;
-                        le_ordered = o.Replica.ordered_at;
-                      })
-                batch.Batch.txns)
-            seg.Driver.nodes
-        in
         let config, lane_env =
           match mc with
           | None -> (setup.protocol, None)
@@ -318,9 +240,10 @@ let create setup =
                 } )
         in
         Replica.create ~config ~replica_id ~backend ~mempool:mempools.(replica_id)
-          ~on_ordered
-          ~on_caught_up:(fun () -> recovering.(replica_id) <- false)
-          ?trace:setup.trace ~telemetry ~retain_wal:setup.retain_wal ?lane_env ());
+          ~on_ordered:(Commit_log.on_ordered log ~replica:replica_id)
+          ~on_caught_up:(fun () -> Commit_log.caught_up log ~replica:replica_id)
+          ?trace:setup.trace ~telemetry ~retain_wal:setup.retain_wal ?lane_env ())
+  in
   (* Multicore inbound routing: the transport delivers on the main domain;
      each message is verified on the pool (one pool lane per
      (replica, dag) so per-stream FIFO order survives the steal), and the
@@ -363,8 +286,23 @@ let create setup =
                     else m.mc_rejects.(pool_lane) <- m.mc_rejects.(pool_lane) + 1)
               end
             end))
-      t.replicas);
-  t
+      replicas);
+  {
+    setup;
+    exec;
+    backend;
+    stream;
+    mc;
+    replicas;
+    mempools;
+    clients = Array.make n None;
+    metrics;
+    telemetry;
+    ledger;
+    log;
+    next_id = ref 0;
+    started = false;
+  }
 
 let per_replica_tps t = t.setup.load_tps /. float_of_int (Array.length t.replicas)
 
@@ -423,9 +361,10 @@ let stop t = Realtime.stop t.exec
 
 (* Realtime crash/restart (single-domain only: lane executors cannot be
    torn down mid-run). Restart mirrors the sim cluster's recovery path:
-   snapshot bookkeeping resets, WAL replay + checkpoint restore inside
-   {!Replica.recover}, peer catch-up sync when checkpointing is on, and
-   metrics/dedup muted until [on_caught_up] clears [recovering]. *)
+   the pre-crash log is snapshotted for the recovery audit, WAL replay +
+   checkpoint restore run inside {!Replica.recover}, peer catch-up sync
+   follows when checkpointing is on, and the ledger and dedup stay muted
+   until [on_caught_up]. *)
 let crash_replica t i =
   if Option.is_some t.mc then invalid_arg "Node.crash_replica: single-domain only";
   Replica.crash t.replicas.(i);
@@ -434,13 +373,11 @@ let crash_replica t i =
 
 let recover_replica ?wipe t i =
   if Option.is_some t.mc then invalid_arg "Node.recover_replica: single-domain only";
-  t.logs.(i) := [];
-  Hashtbl.reset t.ordered_seen.(i);
-  t.recovering.(i) <- true;
+  Commit_log.begin_recovery t.log ~replica:i ~base_seq:(Replica.base_seq t.replicas.(i));
   Replica.recover ?wipe t.replicas.(i);
   start_client t i
 
-let catching_up t i = t.recovering.(i) || Replica.catching_up t.replicas.(i)
+let catching_up t i = Commit_log.recovering t.log ~replica:i || Replica.catching_up t.replicas.(i)
 let executor t = t.exec
 let stream t = t.stream
 let backend t = t.backend
@@ -514,72 +451,12 @@ let arm_live_gauges ?(interval_ms = 250.0) t =
   in
   ignore (Backend.schedule t.backend ~after:interval_ms tick)
 
-type audit = {
-  consistent_prefixes : bool;
-  prefix_length : int;  (** length of the shortest replica log *)
-  total_segments : int;
-  duplicate_orders : int;
-  anchors_per_lane : int array;
-      (** segments replica 0 committed per DAG lane — every lane of a
-          healthy run shows at least one *)
-}
-
-let ordered_ids t ~replica =
-  List.rev_map (fun s -> (s.sdag, s.sround, s.sauthor)) !(t.logs.(replica))
-
-let audit t =
-  let logs = Array.map (fun l -> Array.of_list (List.rev !l)) t.logs in
-  (* A checkpoint-recovered replica's log starts at its base sequence, not
-     0: compare pairwise agreement in global-sequence coordinates. *)
-  let bases = Array.mapi (fun i _ -> Replica.base_seq t.replicas.(i)) logs in
-  let min_len =
-    Array.fold_left min max_int
-      (Array.mapi (fun i l -> bases.(i) + Array.length l) logs)
-  in
-  let min_len = if min_len = max_int then 0 else min_len in
-  let consistent = ref true in
-  let n = Array.length logs in
-  for a = 0 to n - 1 do
-    for b = a + 1 to n - 1 do
-      let lo = max bases.(a) bases.(b) in
-      let hi =
-        min (bases.(a) + Array.length logs.(a)) (bases.(b) + Array.length logs.(b))
-      in
-      for seq = lo to hi - 1 do
-        if logs.(a).(seq - bases.(a)) <> logs.(b).(seq - bases.(b)) then consistent := false
-      done
-    done
-  done;
-  let lanes = Array.make (max 1 t.setup.protocol.Config.num_dags) 0 in
-  Array.iter
-    (fun s -> if s.sdag < Array.length lanes then lanes.(s.sdag) <- lanes.(s.sdag) + 1)
-    logs.(0);
-  {
-    consistent_prefixes = !consistent;
-    prefix_length = min_len;
-    total_segments = Array.fold_left (fun acc l -> acc + Array.length l) 0 logs;
-    duplicate_orders = t.duplicate_orders;
-    anchors_per_lane = lanes;
-  }
+let ordered_ids t ~replica = Commit_log.ordered_ids t.log ~replica
+let audit t = Commit_log.audit t.log ~bases:(Array.map Replica.base_seq t.replicas)
 
 let report t ~duration_ms =
-  let net_stats = Backend.stats t.backend in
-  let sum f =
-    Array.fold_left
-      (fun acc r -> List.fold_left (fun acc s -> acc + f s) acc (Replica.driver_stats r))
-      0 t.replicas
-  in
-  let submitted = Array.fold_left (fun acc m -> acc + Mempool.submitted m) 0 t.mempools in
-  Report.make
+  Report.of_replicas
     ~name:(t.setup.protocol.Config.name ^ "/realtime")
-    ~n:(Array.length t.replicas) ~load_tps:t.setup.load_tps ~duration_ms ~submitted
-    ~metrics:t.metrics
-    ~fast_commits:(sum (fun s -> s.Driver.fast_commits))
-    ~direct_commits:(sum (fun s -> s.Driver.direct_commits))
-    ~indirect_commits:(sum (fun s -> s.Driver.indirect_commits))
-    ~skipped_anchors:(sum (fun s -> s.Driver.skipped_anchors))
-    ~messages_sent:net_stats.Backend.Transport.sent
-    ~messages_dropped:
-      (net_stats.Backend.Transport.dropped + net_stats.Backend.Transport.partitioned)
-    ~bytes_sent:net_stats.Backend.Transport.bytes
-    ~telemetry:(telemetry_snapshot t) ~trace_dropped:(trace_dropped t) ()
+    ~replicas:t.replicas ~mempools:t.mempools ~load_tps:t.setup.load_tps ~duration_ms
+    ~metrics:t.metrics ~net:(Backend.stats t.backend) ~telemetry:(telemetry_snapshot t)
+    ~trace_dropped:(trace_dropped t)

@@ -13,9 +13,11 @@
     Invariants:
     - no protocol module is re-parameterized: replicas, clients, WALs and
       telemetry are constructed exactly as under the simulator;
-    - {!audit} applies the same safety checks as the simulated cluster's:
-      pairwise common-prefix agreement of the replicas' ordered logs and
-      no transaction ordered twice by one replica;
+    - {!audit} is the simulated cluster's audit, run by the same
+      {!Commit_log}: pairwise common-prefix agreement of the replicas'
+      ordered logs, no transaction ordered twice by one replica outside
+      recovery, and every restarted replica's rebuilt log extending its
+      pre-crash log;
     - at any [domains] value every transport handler runs on the main
       executor's loop; lane domains reach the transport only through
       {!Shoalpp_backend.Backend_realtime.post}. *)
@@ -116,8 +118,9 @@ val crash_replica : t -> int -> unit
 val recover_replica : ?wipe:bool -> t -> int -> unit
 (** Restart a crashed replica through {!Shoalpp_core.Replica.recover}:
     checkpoint restore + WAL replay, then peer catch-up sync when
-    checkpointing is on. Requires [retain_wal]; metrics and the duplicate
-    audit stay muted until catch-up completes. [wipe] simulates total disk
+    checkpointing is on. Requires [retain_wal]. The pre-crash log is
+    snapshotted for the [recovery_prefix_ok] audit; the ledger and the
+    duplicate check stay muted until catch-up completes. [wipe] simulates total disk
     loss (peer checkpoint adoption). Single-domain only, like
     {!crash_replica}. *)
 
@@ -173,17 +176,9 @@ val arm_live_gauges : ?interval_ms:float -> t -> unit
 val now_ms : t -> float
 (** Wall milliseconds since the executor was created. *)
 
-type audit = {
-  consistent_prefixes : bool;
-  prefix_length : int;  (** length of the shortest replica log *)
-  total_segments : int;
-  duplicate_orders : int;  (** txns ordered twice by the same replica *)
-  anchors_per_lane : int array;
-      (** segments replica 0 committed per DAG lane — every lane of a
-          healthy run shows at least one *)
-}
-
-val audit : t -> audit
+val audit : t -> Commit_log.audit
+(** The simulated cluster's safety audit ({!Commit_log.audit}) over the
+    node's replica logs, recovery snapshots included. *)
 
 val ordered_ids : t -> replica:int -> (int * int * int) list
 (** The replica's ordered segment log as [(dag, round, author)] anchor

@@ -111,6 +111,28 @@ let make ~name ~n ~load_tps ~duration_ms ~submitted ~metrics ?(fast_commits = 0)
     trace_dropped;
   }
 
+let of_replicas ~name ~replicas ~mempools ~load_tps ~duration_ms ~metrics
+    ~(net : Shoalpp_backend.Backend.Transport.stats) ~telemetry ~trace_dropped =
+  let module Driver = Shoalpp_consensus.Driver in
+  let module Transport = Shoalpp_backend.Backend.Transport in
+  let sum f =
+    Array.fold_left
+      (fun acc r ->
+        List.fold_left (fun acc s -> acc + f s) acc (Shoalpp_core.Replica.driver_stats r))
+      0 replicas
+  in
+  make ~name ~n:(Array.length replicas) ~load_tps ~duration_ms
+    ~submitted:
+      (Array.fold_left (fun acc m -> acc + Shoalpp_workload.Mempool.submitted m) 0 mempools)
+    ~metrics
+    ~fast_commits:(sum (fun s -> s.Driver.fast_commits))
+    ~direct_commits:(sum (fun s -> s.Driver.direct_commits))
+    ~indirect_commits:(sum (fun s -> s.Driver.indirect_commits))
+    ~skipped_anchors:(sum (fun s -> s.Driver.skipped_anchors))
+    ~messages_sent:net.Transport.sent
+    ~messages_dropped:(net.Transport.dropped + net.Transport.partitioned)
+    ~bytes_sent:net.Transport.bytes ~telemetry ~trace_dropped ()
+
 let rule_mix r =
   Anchors.mix ~fast:r.fast_commits ~direct:r.direct_commits ~indirect:r.indirect_commits
     ~skipped:r.skipped_anchors

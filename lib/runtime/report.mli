@@ -53,6 +53,22 @@ val make :
   unit ->
   t
 
+val of_replicas :
+  name:string ->
+  replicas:Shoalpp_core.Replica.t array ->
+  mempools:Shoalpp_workload.Mempool.t array ->
+  load_tps:float ->
+  duration_ms:float ->
+  metrics:Metrics.t ->
+  net:Shoalpp_backend.Backend.Transport.stats ->
+  telemetry:Shoalpp_support.Telemetry.snapshot ->
+  trace_dropped:int ->
+  t
+(** The Shoal++ harnesses' report ({!Cluster}, {!Node}): commit-rule
+    counts summed over every replica's DAG lanes, submitted load from the
+    mempools, message counts from the transport ([dropped] includes
+    partitioned sends). *)
+
 val rule_mix : t -> (Shoalpp_consensus.Anchors.rule * float) list
 (** Fractions of anchor resolutions per commit rule (fast-direct /
     certified-direct / indirect / skipped). *)

@@ -8,14 +8,24 @@
 
     Naming convention used across the repo (dot-separated namespaces):
     - [commit.fast_direct | commit.certified_direct | commit.indirect |
-      commit.skipped] — anchor commit-rule outcomes;
+      commit.skipped] — anchor commit-rule outcomes, counted by the
+      consensus driver;
     - [stage.submit_to_batch | stage.batch_to_proposal |
-      stage.proposal_to_commit | stage.commit_to_order] — per-transaction
-      latency decomposition histograms (ms);
-    - [dag.proposals | dag.certs_formed | dag.timeouts | dag.fetches] —
-      DAG-instance activity;
-    - [dag<k>.txns | dag<k>.segments | dag<k>.latency] — per-parallel-DAG
-      attribution.
+      stage.proposal_to_commit | stage.commit_to_order] and [latency.e2e]
+      — per-transaction latency decomposition histograms (ms), one
+      observation per origin commit;
+    - [dag<k>.txns | dag<k>.latency] — per-parallel-DAG attribution of
+      origin commits;
+    - [ledger.dag<k>.<rule>.<stage>] — the same stage deltas keyed by DAG
+      lane and commit rule;
+    - [dag.proposals | dag.certs_formed | dag.timeouts | dag.fetches |
+      dag.segments] — DAG-instance and driver activity.
+
+    The [stage.*], [latency.e2e], [dag<k>.*] and [ledger.*] instruments
+    are recorded by one producer only: the runtime's per-commit ledger
+    ([Ledger.record]), called once per transaction at its origin replica's
+    commit. Protocol code records counters, never per-transaction
+    latency.
 
     Invariants:
     - handles are get-or-create by name: re-requesting a name returns the

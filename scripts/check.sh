@@ -80,6 +80,8 @@ grep -q '"traceEvents"' "$out/run.trace.json" \
   || { echo "check failed: chrome trace malformed" >&2; exit 1; }
 grep -q '"commit.fast_direct"' "$out/run.metrics.json" \
   || { echo "check failed: commit-rule counters missing from metrics" >&2; exit 1; }
+grep -q '"stage.proposal_to_commit"' "$out/run.metrics.json" \
+  || { echo "check failed: ledger stage histograms missing from metrics" >&2; exit 1; }
 
 # Fault-scenario smoke: a crash-recover run must stay safe (the sim exits
 # non-zero on a failed audit) and record the injected faults in telemetry.
@@ -297,13 +299,18 @@ grep -q 'audit: consistent logs, no duplicates' "$out/mem.out" \
 # Lag-then-catch-up smoke: kill one replica mid-run, restart it, and
 # require that it rejoined from a certified checkpoint (base_seq > 0 — it
 # did NOT replay from genesis) with an O(gap) number of sync requests,
-# and that the cluster audit still passes (the binary's exit code).
+# and that the cluster audit, recovery prefix included, still passes (the
+# binary's exit code).
 ./_build/default/bin/shoalpp_node.exe \
   -n 4 --duration 10000 --load 300 --no-verify \
   --checkpoint-interval 12 --restart 3000,6000 > "$out/catchup.out" 2>&1 \
   || { echo "check failed: restart run failed" >&2; cat "$out/catchup.out" >&2; exit 1; }
 grep -q 'audit: consistent logs, no duplicates' "$out/catchup.out" \
   || { echo "check failed: restart audit line missing" >&2; exit 1; }
+# The audit must have covered the restart: the rebuilt log was checked
+# against the snapshot taken when the replica went down.
+grep -q 'recovery prefix ok (1 restarted)' "$out/catchup.out" \
+  || { echo "check failed: restart not covered by the recovery audit" >&2; exit 1; }
 restart_line=$(grep '^restart: replica' "$out/catchup.out") \
   || { echo "check failed: restart summary line missing" >&2; cat "$out/catchup.out" >&2; exit 1; }
 base_seq=$(printf '%s' "$restart_line" | sed -n 's/^restart: replica [0-9]* base_seq \([0-9]*\),.*/\1/p')

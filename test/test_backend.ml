@@ -19,6 +19,7 @@ module E = Shoalpp_runtime.Experiment
 module Report = Shoalpp_runtime.Report
 module Export = Shoalpp_runtime.Export
 module Node = Shoalpp_runtime.Node
+module Commit_log = Shoalpp_runtime.Commit_log
 module Config = Shoalpp_core.Config
 module Committee = Shoalpp_dag.Committee
 module Wire = Shoalpp_codec.Wire
@@ -170,16 +171,42 @@ let test_realtime_cluster_run () =
   let node = Node.create setup in
   Node.run node ~duration_ms:1_000.0;
   let audit = Node.audit node in
-  checkb "consistent prefixes" true audit.Node.consistent_prefixes;
-  checki "no duplicate orders" 0 audit.Node.duplicate_orders;
-  checkb "progress" true (audit.Node.total_segments > 0);
-  checki "all lanes present" protocol.Config.num_dags (Array.length audit.Node.anchors_per_lane);
+  checkb "consistent prefixes" true audit.Commit_log.consistent_prefixes;
+  checki "no duplicate orders" 0 audit.Commit_log.duplicate_orders;
+  checkb "progress" true (audit.Commit_log.total_segments > 0);
+  checki "all lanes present" protocol.Config.num_dags
+    (Array.length audit.Commit_log.anchors_per_lane);
   Array.iteri
     (fun lane count ->
       checkb (Printf.sprintf "lane %d committed an anchor (got %d)" lane count) true (count >= 1))
-    audit.Node.anchors_per_lane;
+    audit.Commit_log.anchors_per_lane;
   let report = Node.report node ~duration_ms:1_000.0 in
   checkb "transactions committed" true (report.Report.committed > 0)
+
+(* A realtime restart is audited like the simulator's: crash one replica,
+   recover it through checkpoint restore + WAL replay + peer catch-up, and
+   its rebuilt log must extend the pre-crash one. *)
+let test_realtime_restart_audited () =
+  let committee = Committee.make ~n:4 ~cluster_seed:21 () in
+  let protocol =
+    Config.with_checkpoint_interval
+      (Config.without_signature_checks (Config.shoalpp ~committee))
+      12
+  in
+  let setup =
+    { (Node.default_setup ~protocol) with Node.load_tps = 200.0; seed = 21; retain_wal = true }
+  in
+  let node = Node.create setup in
+  let bk = Node.backend node in
+  ignore (Backend.schedule bk ~after:400.0 (fun () -> Node.crash_replica node 3));
+  ignore (Backend.schedule bk ~after:800.0 (fun () -> Node.recover_replica node 3));
+  Node.run node ~duration_ms:1_600.0;
+  let audit = Node.audit node in
+  checki "the restart was snapshotted" 1 audit.Commit_log.recoveries_audited;
+  checkb "rebuilt log extends the pre-crash log" true audit.Commit_log.recovery_prefix_ok;
+  checki "no duplicate orders" 0 audit.Commit_log.duplicate_orders;
+  checkb "consistent prefixes" true audit.Commit_log.consistent_prefixes;
+  checkb "progress" true (audit.Commit_log.total_segments > 0)
 
 (* The admin endpoint serves scrapes off the same select loop as the
    protocol: issue a raw HTTP GET from a client socket while a bare
@@ -331,5 +358,6 @@ let suite =
         Alcotest.test_case "admin server serves routes" `Quick test_admin_server_serves_routes;
         Alcotest.test_case "admin request split across reads" `Quick
           test_admin_request_split_across_reads;
+        Alcotest.test_case "restart audited" `Quick test_realtime_restart_audited;
       ] );
   ]

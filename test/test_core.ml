@@ -5,6 +5,7 @@
 
 module E = Shoalpp_runtime.Experiment
 module Cluster = Shoalpp_runtime.Cluster
+module Commit_log = Shoalpp_runtime.Commit_log
 module Report = Shoalpp_runtime.Report
 module Metrics = Shoalpp_runtime.Metrics
 module Config = Shoalpp_core.Config
@@ -15,7 +16,6 @@ module Anchors = Shoalpp_consensus.Anchors
 module Driver = Shoalpp_consensus.Driver
 module Topology = Shoalpp_sim.Topology
 module Fault_schedule = Shoalpp_sim.Fault_schedule
-module Transaction = Shoalpp_workload.Transaction
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -73,9 +73,9 @@ let test_cluster_commits_and_is_consistent () =
     (report.Report.committed_tps > 150.0);
   checkb "sub-second latency on 20ms links" true (report.Report.latency_p50 < 400.0);
   let audit = Cluster.audit c in
-  checkb "consistent prefixes" true audit.Cluster.consistent_prefixes;
-  checki "no duplicate ordering" 0 audit.Cluster.duplicate_orders;
-  checkb "many segments" true (audit.Cluster.total_segments > 50)
+  checkb "consistent prefixes" true audit.Commit_log.consistent_prefixes;
+  checki "no duplicate ordering" 0 audit.Commit_log.duplicate_orders;
+  checkb "many segments" true (audit.Commit_log.total_segments > 50)
 
 let test_cluster_all_fast_commits_in_good_network () =
   let c = run_small ~duration:6_000.0 () in
@@ -89,7 +89,7 @@ let test_cluster_crash_f_replicas_stays_live () =
   let report = Cluster.report c ~duration_ms:8_000.0 in
   (* 3 of 4 clients still run: ~150 tps offered. *)
   checkb "still commits" true (report.Report.committed_tps > 100.0);
-  checkb "consistent" true (Cluster.audit c).Cluster.consistent_prefixes
+  checkb "consistent" true (Cluster.audit c).Commit_log.consistent_prefixes
 
 let test_cluster_crash_mid_run () =
   let c = Cluster.create (small_setup ()) in
@@ -97,8 +97,8 @@ let test_cluster_crash_mid_run () =
   Cluster.crash_now c 2;
   Cluster.run c ~duration_ms:8_000.0;
   let audit = Cluster.audit c in
-  checkb "consistent after mid-run crash" true audit.Cluster.consistent_prefixes;
-  checki "no duplicates" 0 audit.Cluster.duplicate_orders;
+  checkb "consistent after mid-run crash" true audit.Commit_log.consistent_prefixes;
+  checki "no duplicates" 0 audit.Commit_log.duplicate_orders;
   (* Survivors keep committing after the crash. *)
   let r = Cluster.report c ~duration_ms:8_000.0 in
   checkb "alive" true (r.Report.committed > 500)
@@ -107,8 +107,8 @@ let test_cluster_message_drops_tolerated () =
   let fault = Fault_schedule.drop_egress Fault_schedule.none ~replicas:[ 0 ] ~rate:0.05 ~from_time:1_000.0 () in
   let c = run_small ~fault ~duration:8_000.0 () in
   let audit = Cluster.audit c in
-  checkb "drops do not break safety" true audit.Cluster.consistent_prefixes;
-  checki "no duplicates" 0 audit.Cluster.duplicate_orders;
+  checkb "drops do not break safety" true audit.Commit_log.consistent_prefixes;
+  checki "no duplicates" 0 audit.Commit_log.duplicate_orders;
   let r = Cluster.report c ~duration_ms:8_000.0 in
   checkb "messages were dropped" true (r.Report.messages_dropped > 0);
   checkb "still commits" true (r.Report.committed_tps > 100.0)
@@ -175,7 +175,7 @@ let test_shoal_and_bullshark_presets_run () =
       let report = Cluster.report c ~duration_ms:6_000.0 in
       checkb (protocol.Config.name ^ " commits") true (report.Report.committed > 300);
       checkb (protocol.Config.name ^ " consistent") true
-        (Cluster.audit c).Cluster.consistent_prefixes)
+        (Cluster.audit c).Commit_log.consistent_prefixes)
     [ Config.shoal ~committee; Config.bullshark ~committee ]
 
 let test_shoalpp_beats_shoal_beats_bullshark () =
@@ -194,7 +194,7 @@ let test_all_to_all_faster_fewer_md () =
     let c = run_small ~protocol ~duration:10_000.0 () in
     let r = Cluster.report c ~duration_ms:10_000.0 in
     checkb (protocol.Config.name ^ " consistent") true
-      (Cluster.audit c).Cluster.consistent_prefixes;
+      (Cluster.audit c).Commit_log.consistent_prefixes;
     r.Report.latency_p50
   in
   let star = latency { (Config.shoalpp ~committee) with Config.stagger_ms = 20.0 } in
@@ -224,19 +224,16 @@ let test_wal_active () =
 
 let test_metrics_warmup_exclusion () =
   let m = Metrics.create ~warmup_ms:1_000.0 () in
-  let tx_early = Transaction.make ~id:1 ~submitted_at:500.0 ~origin:0 () in
-  let tx_late = Transaction.make ~id:2 ~submitted_at:1_500.0 ~origin:0 () in
-  Metrics.observe_commit m ~origin_ordered:true ~tx:tx_early ~now:900.0;
-  Metrics.observe_commit m ~origin_ordered:true ~tx:tx_late ~now:1_900.0;
-  Metrics.observe_commit m ~origin_ordered:false ~tx:tx_late ~now:1_900.0;
-  checki "only post-warmup origin commits" 1 (Metrics.committed m);
+  Metrics.observe_commit m ~submitted:500.0 ~now:900.0;
+  Metrics.observe_commit m ~submitted:1_500.0 ~now:1_900.0;
+  checki "only post-warmup commits" 1 (Metrics.committed m);
   checki "latency samples" 1 (Shoalpp_support.Stats.Summary.count (Metrics.latency m))
 
 let test_metrics_series () =
   let m = Metrics.create () in
   for i = 1 to 10 do
-    let tx = Transaction.make ~id:i ~submitted_at:(float_of_int i *. 50.0) ~origin:0 () in
-    Metrics.observe_commit m ~origin_ordered:true ~tx ~now:(float_of_int i *. 50.0 +. 50.0)
+    let submitted = float_of_int i *. 50.0 in
+    Metrics.observe_commit m ~submitted ~now:(submitted +. 50.0)
   done;
   match Metrics.throughput_series m with
   | [ (_, rate) ] -> checkb "10 commits in 1s window" true (rate = 10.0)
@@ -244,8 +241,7 @@ let test_metrics_series () =
 
 let test_report_fields () =
   let m = Metrics.create () in
-  let tx = Transaction.make ~id:1 ~submitted_at:100.0 ~origin:0 () in
-  Metrics.observe_commit m ~origin_ordered:true ~tx ~now:350.0;
+  Metrics.observe_commit m ~submitted:100.0 ~now:350.0;
   let r =
     Report.make ~name:"x" ~n:4 ~load_tps:10.0 ~duration_ms:1_000.0 ~submitted:5 ~metrics:m
       ~fast_commits:1 ~messages_sent:100 ~messages_dropped:2 ~bytes_sent:1e6 ()
@@ -297,6 +293,26 @@ let test_experiment_unknown_extra_rejected () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Commit_log: the shared prefix audit *)
+
+let test_prefixes_agree_with_bases () =
+  let agree ?bases logs = Commit_log.prefixes_agree ~equal:Int.equal ?bases logs in
+  checkb "unequal lengths agree on the common prefix" true
+    (agree [| [| 1; 2; 3 |]; [| 1; 2 |]; [||] |]);
+  checkb "divergence at seq 1" false (agree [| [| 1; 2 |]; [| 1; 9 |] |]);
+  (* Log 1 starts at seq 2: only seqs 2..3 overlap. *)
+  checkb "offset logs compared in seq coordinates" true
+    (agree ~bases:[| 0; 2 |] [| [| 10; 11; 12; 13 |]; [| 12; 13; 14 |] |]);
+  checkb "divergence at the first overlapping seq" false
+    (agree ~bases:[| 0; 2 |] [| [| 10; 11; 12; 13 |]; [| 99; 13; 14 |] |]);
+  checkb "entries below the other base are not compared" true
+    (agree ~bases:[| 0; 2 |] [| [| 10; 11; 12 |]; [| 12 |] |]);
+  checkb "disjoint ranges agree vacuously" true
+    (agree ~bases:[| 0; 5 |] [| [| 1; 2 |]; [| 7; 8 |] |]);
+  checkb "a later pair can fail" false
+    (agree ~bases:[| 0; 0; 1 |] [| [| 1; 2 |]; [| 1 |]; [| 3 |] |])
+
 let suite =
   [
     ( "core.config",
@@ -326,6 +342,8 @@ let suite =
         Alcotest.test_case "series" `Quick test_metrics_series;
         Alcotest.test_case "report fields" `Quick test_report_fields;
       ] );
+    ( "runtime.commit_log",
+      [ Alcotest.test_case "prefixes agree with bases" `Quick test_prefixes_agree_with_bases ] );
     ( "runtime.experiment",
       [
         Alcotest.test_case "dag config mapping" `Quick test_experiment_dag_config_mapping;

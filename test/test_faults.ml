@@ -215,6 +215,7 @@ let test_determinism () =
    rebuilt log of the recovered replica extends its pre-crash prefix. *)
 let test_recovery_prefix_audit () =
   let module Cluster = Shoalpp_runtime.Cluster in
+  let module Commit_log = Shoalpp_runtime.Commit_log in
   let committee = Shoalpp_dag.Committee.make ~n:4 ~cluster_seed:9 () in
   let protocol =
     Shoalpp_core.Config.without_signature_checks (Shoalpp_core.Config.shoalpp ~committee)
@@ -231,9 +232,9 @@ let test_recovery_prefix_audit () =
   let cluster = Cluster.create setup in
   Cluster.run cluster ~duration_ms;
   let audit = Cluster.audit cluster in
-  checkb "prefixes consistent" true audit.Cluster.consistent_prefixes;
-  checki "no duplicate orders" 0 audit.Cluster.duplicate_orders;
-  checkb "recovery prefix extended" true audit.Cluster.recovery_prefix_ok;
+  checkb "prefixes consistent" true audit.Commit_log.consistent_prefixes;
+  checki "no duplicate orders" 0 audit.Commit_log.duplicate_orders;
+  checkb "recovery prefix extended" true audit.Commit_log.recovery_prefix_ok;
   let snap = Telemetry.snapshot (Cluster.telemetry cluster) in
   checki "one recovery" 1 (Telemetry.snap_counter snap "fault.recoveries")
 

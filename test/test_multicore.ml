@@ -30,6 +30,7 @@
 
 module Verify_pool = Shoalpp_backend.Verify_pool
 module Node = Shoalpp_runtime.Node
+module Commit_log = Shoalpp_runtime.Commit_log
 module Report = Shoalpp_runtime.Report
 module Config = Shoalpp_core.Config
 module Replica = Shoalpp_core.Replica
@@ -267,10 +268,10 @@ let check_round_robin_merge ~label ~k ids =
 let test_golden_domains_1_vs_4 () =
   let node1, audit1, k = run_node ~domains:1 ~seed:11 () in
   let node4, audit4, _ = run_node ~domains:4 ~seed:11 () in
-  checkb "domains=1 consistent" true audit1.Node.consistent_prefixes;
-  checkb "domains=4 consistent" true audit4.Node.consistent_prefixes;
-  checki "domains=1 no duplicates" 0 audit1.Node.duplicate_orders;
-  checki "domains=4 no duplicates" 0 audit4.Node.duplicate_orders;
+  checkb "domains=1 consistent" true audit1.Commit_log.consistent_prefixes;
+  checkb "domains=4 consistent" true audit4.Commit_log.consistent_prefixes;
+  checki "domains=1 no duplicates" 0 audit1.Commit_log.duplicate_orders;
+  checki "domains=4 no duplicates" 0 audit4.Commit_log.duplicate_orders;
   let ids1 = Node.ordered_ids node1 ~replica:0 in
   let ids4 = Node.ordered_ids node4 ~replica:0 in
   check_round_robin_merge ~label:"domains=1" ~k ids1;
@@ -299,9 +300,9 @@ let test_golden_under_crash_fault () =
       let node, audit, k =
         run_node ~domains ~crash:true ~timeout_ms:60.0 ~duration_ms:1_500.0 ~seed:13 ()
       in
-      checkb (label ^ ": consistent prefixes") true audit.Node.consistent_prefixes;
-      checki (label ^ ": no duplicates") 0 audit.Node.duplicate_orders;
-      checkb (label ^ ": progress with f=1 crashed") true (audit.Node.total_segments > 0);
+      checkb (label ^ ": consistent prefixes") true audit.Commit_log.consistent_prefixes;
+      checki (label ^ ": no duplicates") 0 audit.Commit_log.duplicate_orders;
+      checkb (label ^ ": progress with f=1 crashed") true (audit.Commit_log.total_segments > 0);
       checki (label ^ ": crashed replica ordered nothing") 0
         (List.length (Node.ordered_ids node ~replica:3));
       List.iter
@@ -317,7 +318,7 @@ let test_golden_under_crash_fault () =
    domain, which sees the closed pool and counts exactly one late drop. *)
 let test_late_message_after_shutdown_dropped () =
   let node, audit, _ = run_node ~domains:2 ~duration_ms:300.0 ~seed:17 () in
-  checkb "run consistent" true audit.Node.consistent_prefixes;
+  checkb "run consistent" true audit.Commit_log.consistent_prefixes;
   let exec = Node.executor node in
   (* Drain anything the quiesce left queued so the baseline is settled. *)
   Realtime.run_for exec ~duration_ms:20.0;

@@ -26,8 +26,6 @@ let checks = Alcotest.(check string)
 (* Metrics: one warmup rule, judged on commit time, for both the scalar
    counters and the windowed series. *)
 
-let tx ~id ~at = Shoalpp_workload.Transaction.make ~id ~submitted_at:at ~origin:0 ()
-
 let series_total series =
   (* rate_series reports tx/s over 1 s windows: summing gives commits. *)
   List.fold_left (fun acc (_, v) -> acc +. v) 0.0 series
@@ -36,9 +34,9 @@ let test_warmup_judged_on_commit_time () =
   let m = Metrics.create ~warmup_ms:1000.0 ~window_ms:1000.0 () in
   (* Submitted during warmup, committed after: measures the steady-state
      commit path, so every view must include it. *)
-  Metrics.observe_commit m ~origin_ordered:true ~tx:(tx ~id:1 ~at:500.0) ~now:1500.0;
+  Metrics.observe_commit m ~submitted:500.0 ~now:1500.0;
   (* Committed during warmup: no view may include it. *)
-  Metrics.observe_commit m ~origin_ordered:true ~tx:(tx ~id:2 ~at:100.0) ~now:900.0;
+  Metrics.observe_commit m ~submitted:100.0 ~now:900.0;
   checki "committed counter" 1 (Metrics.committed m);
   checki "latency samples" 1 (Stats.Summary.count (Metrics.latency m));
   checkf "latency of the counted tx" 1000.0 (Stats.Summary.mean (Metrics.latency m));
@@ -50,13 +48,12 @@ let test_warmup_counters_and_series_agree () =
      the counter on submit time and the series on commit time). *)
   let m = Metrics.create ~warmup_ms:2000.0 ~window_ms:1000.0 () in
   List.iter
-    (fun (id, submitted, committed) ->
-      Metrics.observe_commit m ~origin_ordered:true ~tx:(tx ~id ~at:submitted) ~now:committed)
+    (fun (submitted, committed) -> Metrics.observe_commit m ~submitted ~now:committed)
     [
-      (1, 500.0, 1500.0) (* in-warmup commit: excluded *);
-      (2, 1500.0, 2500.0) (* warmup submit, steady commit: included *);
-      (3, 2500.0, 3500.0) (* steady both: included *);
-      (4, 100.0, 1999.0) (* in-warmup commit: excluded *);
+      (500.0, 1500.0) (* in-warmup commit: excluded *);
+      (1500.0, 2500.0) (* warmup submit, steady commit: included *);
+      (2500.0, 3500.0) (* steady both: included *);
+      (100.0, 1999.0) (* in-warmup commit: excluded *);
     ];
   checki "committed" 2 (Metrics.committed m);
   checkf "series total" 2.0 (series_total (Metrics.throughput_series m));

@@ -189,6 +189,48 @@ let test_ledger_rule_mapping () =
   checks "metric name" "ledger.dag2.indirect.inclusion_to_commit"
     (Ledger.metric_name ~dag:2 ~rule:Anchors.Indirect_rule "inclusion_to_commit")
 
+(* The ledger is the only per-transaction latency recorder: on a short sim
+   run of each system, every run-wide stage histogram holds exactly one
+   observation per ledger entry. *)
+let test_ledger_feeds_stage_histograms () =
+  let module Cluster = Shoalpp_runtime.Cluster in
+  let module Jolteon = Shoalpp_baselines.Jolteon in
+  let module Mysticeti = Shoalpp_baselines.Mysticeti in
+  let committee = Shoalpp_dag.Committee.make ~n:4 ~cluster_seed:21 () in
+  let topology = Shoalpp_sim.Topology.clique ~regions:4 ~one_way_ms:20.0 in
+  let duration_ms = 3_000.0 in
+  let check name telemetry ledger =
+    let snap = Telemetry.snapshot telemetry in
+    let recorded = Ledger.recorded ledger in
+    checkb (name ^ ": origin commits recorded") true (recorded > 0);
+    List.iter
+      (fun (_, metric) ->
+        match Telemetry.snap_histogram snap metric with
+        | Some hs -> checki (name ^ ": " ^ metric) recorded hs.Telemetry.hs_count
+        | None -> Alcotest.failf "%s: %s missing" name metric)
+      Shoalpp_runtime.Report.stage_names
+  in
+  let protocol =
+    Shoalpp_core.Config.(without_signature_checks (shoalpp ~committee))
+  in
+  let c =
+    Cluster.create
+      { (Cluster.default_setup ~protocol) with Cluster.topology; load_tps = 200.0 }
+  in
+  Cluster.run c ~duration_ms;
+  check "shoal++" (Cluster.telemetry c) (Cluster.ledger c);
+  let j =
+    Jolteon.create { (Jolteon.default_setup ~committee) with Jolteon.topology; load_tps = 200.0 }
+  in
+  Jolteon.run j ~duration_ms;
+  check "jolteon" (Jolteon.telemetry j) (Jolteon.ledger j);
+  let m =
+    Mysticeti.create
+      { (Mysticeti.default_setup ~committee) with Mysticeti.topology; load_tps = 200.0 }
+  in
+  Mysticeti.run m ~duration_ms;
+  check "mysticeti" (Mysticeti.telemetry m) (Mysticeti.ledger m)
+
 let suite =
   [
     ( "prom",
@@ -206,5 +248,7 @@ let suite =
         Alcotest.test_case "json tail shape" `Quick test_ledger_json_tail;
         Alcotest.test_case "breakdown rows sorted and aggregated" `Quick test_ledger_breakdown;
         Alcotest.test_case "rule mapping and metric names" `Quick test_ledger_rule_mapping;
+        Alcotest.test_case "only recorder of stage histograms" `Quick
+          test_ledger_feeds_stage_histograms;
       ] );
   ]

@@ -4,6 +4,7 @@
 
 module E = Shoalpp_runtime.Experiment
 module Cluster = Shoalpp_runtime.Cluster
+module Commit_log = Shoalpp_runtime.Commit_log
 module Report = Shoalpp_runtime.Report
 module Config = Shoalpp_core.Config
 module Replica = Shoalpp_core.Replica
@@ -79,8 +80,8 @@ let test_equivocating_proposer_is_safe () =
          send 2 (Types.Proposal b)));
   Cluster.run cluster ~duration_ms:8_000.0;
   let audit = Cluster.audit cluster in
-  checkb "consistent despite equivocation" true audit.Cluster.consistent_prefixes;
-  checki "no duplicates" 0 audit.Cluster.duplicate_orders;
+  checkb "consistent despite equivocation" true audit.Commit_log.consistent_prefixes;
+  checki "no duplicates" 0 audit.Commit_log.duplicate_orders;
   let r = Cluster.report cluster ~duration_ms:8_000.0 in
   checkb "liveness preserved" true (r.Report.committed > 300)
 
@@ -122,7 +123,7 @@ let test_forged_messages_ignored () =
            [ Types.Proposal impersonated; Types.Certificate bad_cert ]));
   Cluster.run cluster ~duration_ms:6_000.0;
   let audit = Cluster.audit cluster in
-  checkb "consistent despite forgeries" true audit.Cluster.consistent_prefixes;
+  checkb "consistent despite forgeries" true audit.Commit_log.consistent_prefixes;
   checkb "liveness preserved" true
     ((Cluster.report cluster ~duration_ms:6_000.0).Report.committed > 200)
 
@@ -190,7 +191,7 @@ let test_gc_bounds_state () =
         (fun round -> checkb "deep rounds reached" true (round > 300))
         (Replica.current_rounds r))
     (Cluster.replicas cluster);
-  checkb "still consistent after 60s" true (Cluster.audit cluster).Cluster.consistent_prefixes;
+  checkb "still consistent after 60s" true (Cluster.audit cluster).Commit_log.consistent_prefixes;
   (* Latency stays flat: last-window mean within 3x of global median. *)
   let m = Cluster.metrics cluster in
   let series = Shoalpp_runtime.Metrics.latency_series m in

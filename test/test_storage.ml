@@ -22,6 +22,7 @@ module Trace = Shoalpp_sim.Trace
 module Faults = Shoalpp_sim.Faults
 module E = Shoalpp_runtime.Experiment
 module Cluster = Shoalpp_runtime.Cluster
+module Commit_log = Shoalpp_runtime.Commit_log
 module Config = Shoalpp_core.Config
 module Replica = Shoalpp_core.Replica
 module Telemetry = Shoalpp_support.Telemetry
@@ -347,9 +348,9 @@ let test_checkpointed_crash_recover () =
   let cluster = Cluster.create setup in
   Cluster.run cluster ~duration_ms:14_000.0;
   let audit = Cluster.audit cluster in
-  checkb "prefixes consistent" true audit.Cluster.consistent_prefixes;
-  checki "no duplicate orders" 0 audit.Cluster.duplicate_orders;
-  checkb "recovery prefix ok" true audit.Cluster.recovery_prefix_ok;
+  checkb "prefixes consistent" true audit.Commit_log.consistent_prefixes;
+  checki "no duplicate orders" 0 audit.Commit_log.duplicate_orders;
+  checkb "recovery prefix ok" true audit.Commit_log.recovery_prefix_ok;
   let r = (Cluster.replicas cluster).(3) in
   checkb "restarted from a checkpoint, not genesis" true (Replica.base_seq r > 0);
   checkb "adopted checkpoint is certified" true

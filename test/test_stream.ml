@@ -23,6 +23,7 @@ module Backend = Shoalpp_backend.Backend
 module Realtime = Shoalpp_backend.Backend_realtime
 module Stream = Shoalpp_backend.Stream_transport
 module Node = Shoalpp_runtime.Node
+module Commit_log = Shoalpp_runtime.Commit_log
 module Config = Shoalpp_core.Config
 module Committee = Shoalpp_dag.Committee
 module Topology = Shoalpp_sim.Topology
@@ -210,9 +211,9 @@ let run_cluster ~transport ?delays_ms ?(coalesce_us = 0.0) ?(n = 4) ?(duration_m
 
 let check_audit ~label node =
   let audit = Node.audit node in
-  checkb (label ^ ": consistent prefixes") true audit.Node.consistent_prefixes;
-  checki (label ^ ": no duplicate orders") 0 audit.Node.duplicate_orders;
-  checkb (label ^ ": progress") true (audit.Node.total_segments > 0)
+  checkb (label ^ ": consistent prefixes") true audit.Commit_log.consistent_prefixes;
+  checki (label ^ ": no duplicate orders") 0 audit.Commit_log.duplicate_orders;
+  checkb (label ^ ": progress") true (audit.Commit_log.total_segments > 0)
 
 (* The golden cross-transport test: same seed, same protocol, three
    transports — loopback, UDS, TCP (with coalescing, which batches writes

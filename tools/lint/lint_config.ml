@@ -90,6 +90,7 @@ let default =
         "lib/runtime/prom.ml";
         "lib/runtime/metrics.ml";
         "lib/runtime/cluster.ml";
+        "lib/runtime/commit_log.ml";
         "lib/runtime/experiment.ml";
         "lib/runtime/node.ml";
         "lib/support/telemetry.ml";
@@ -215,6 +216,9 @@ let default =
         ("lib/workload/mempool.ml", [ Main; Lane ]);
         ("lib/dag/validation.ml", [ Lane; Pool ]);
         ("lib/core/replica.ml", [ Main; Lane ]);
+        (* the ordered-segment hook runs where Alg. 3's merge runs: the main
+           domain at every --domains value *)
+        ("lib/runtime/commit_log.ml", [ Main ]);
       ];
     lock_wrappers = [ "with_mu"; "Mutex.protect" ];
   }
