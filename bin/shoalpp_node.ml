@@ -371,8 +371,10 @@ let cmd =
       & info [ "checkpoint-interval" ] ~docv:"C"
           ~doc:
             "Certify a checkpoint (and prune history below it) every C committed anchors; 0 \
-             (default) disables the bounded-memory lifecycle. The commit sequence is identical \
-             at any value.")
+             (default) disables the bounded-memory lifecycle. Rounded up to a multiple of the \
+             DAG count. Every boundary certifies once a quorum votes for it (ck.boundaries and \
+             ck.certified in --metrics-out and /metrics). The commit sequence is identical at \
+             any value.")
   in
   let restart =
     Arg.(

@@ -197,8 +197,9 @@ let cmd =
           ~doc:
             "Certify a checkpoint (and prune history below it) every C committed anchors; 0 \
              (default) disables the bounded-memory lifecycle. Rounded up to a multiple of the \
-             DAG count so the boundary always lands on the round-robin merge seam. Commit \
-             sequences are identical at any value.")
+             DAG count so the boundary always lands on the round-robin merge seam. Every \
+             boundary certifies once a quorum votes for it (ck.boundaries and ck.certified in \
+             --metrics-out). Commit sequences are identical at any value.")
   in
   let series = Arg.(value & flag & info [ "series" ] ~doc:"Print per-second time series.") in
   let trace_out =

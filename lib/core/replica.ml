@@ -59,6 +59,14 @@ type dag_lane = {
   mutable ck_marks : int list; (* WAL segment ids opened at checkpoints, newest first *)
 }
 
+(* One boundary awaiting certification: our own candidate and its digest
+   once the merge reaches it, and the verified votes received for it so far
+   (peers may vote before we get there). *)
+type boundary = {
+  mine : (Checkpoint.candidate * Digest32.t) option;
+  votes : (int * Digest32.t * Signer.signature) list;
+}
+
 (* Checkpoint manager: runs at the Alg. 3 merge point (the only place the
    global sequence exists), so it is owned by whichever domain owns the
    merge — the main domain under [--domains N]. The certified-checkpoint
@@ -67,11 +75,10 @@ type dag_lane = {
    persist depends on. *)
 type ck_mgr = {
   ck_interval : int; (* effective interval: > 0, multiple of num_dags *)
-  ck_wal : Wal.t; (* certified checkpoints only; always retains *)
+  ck_wal : Wal.t; (* the two newest certified checkpoints; retains payloads *)
   mutable ck_state : Digest32.t; (* running commit-stream digest *)
   ck_lane_latest : (int * string) option array; (* (anchor round, resume) per lane *)
-  mutable ck_candidate : Checkpoint.candidate option; (* ours, pending quorum *)
-  ck_votes : (int, (int * Digest32.t * Signer.signature) list ref) Hashtbl.t;
+  ck_pending : (int, boundary) Hashtbl.t; (* boundary seq above [ck_latest] -> state *)
   mutable ck_latest : Checkpoint.t option; (* newest certified checkpoint *)
   mutable ck_main_marks : int list; (* shared-WAL rotation marks (no lane_env) *)
 }
@@ -169,6 +176,14 @@ let ck_apply_gates t ck =
       end)
     (Checkpoint.lanes ck)
 
+(* Forget every pending boundary at or below [upto]. *)
+let ck_forget m ~upto =
+  let doomed = Hashtbl.fold (fun s _ acc -> if s <= upto then s :: acc else acc) m.ck_pending [] in
+  List.iter (Hashtbl.remove m.ck_pending) doomed
+
+let ck_pending_entry m seq =
+  Option.value (Hashtbl.find_opt m.ck_pending seq) ~default:{ mine = None; votes = [] }
+
 let ck_install t m ck =
   (* Gates advance to the {e superseded} checkpoint's floors: retention
      always covers the last two certified checkpoints, so a peer that just
@@ -176,12 +191,11 @@ let ck_install t m ck =
      certify the next. *)
   (match m.ck_latest with Some prev -> ck_apply_gates t prev | None -> ());
   m.ck_latest <- Some ck;
-  m.ck_candidate <- None;
   let seq = Checkpoint.seq ck in
-  let doomed =
-    Hashtbl.fold (fun s _ acc -> if s <= seq then s :: acc else acc) m.ck_votes []
-  in
-  List.iter (Hashtbl.remove m.ck_votes) doomed;
+  ck_forget m ~upto:seq;
+  (* The checkpoint device keeps the two newest certificates: recovery
+     restores the newest that verifies, and the other is its fallback. *)
+  ignore (Wal.truncate_below m.ck_wal ~seg:(Wal.rotate m.ck_wal - 1));
   Wal.append m.ck_wal ~size:(Checkpoint.wire_size ck) ~payload:(Checkpoint.encode ck) ignore;
   Obs.incr t.obs "ck.certified";
   Obs.set t.obs "ck.latest_seq" (float_of_int seq);
@@ -189,71 +203,49 @@ let ck_install t m ck =
     (Trace.Checkpoint_certified { seq; signers = Multisig.num_signers (Checkpoint.cert ck) });
   ck_truncate t m
 
+(* Certify boundary [seq] once our own candidate there has a quorum of
+   matching votes ([Multisig.aggregate] orders the signers itself). *)
 let ck_try_certify t m ~seq =
-  match m.ck_candidate with
-  | Some cand when cand.Checkpoint.seq = seq -> (
-    match Hashtbl.find_opt m.ck_votes seq with
-    | None -> ()
-    | Some votes ->
-      let digest = Checkpoint.digest cand in
-      let matching = List.filter (fun (_, d, _) -> Digest32.equal d digest) !votes in
-      let committee = t.cfg.Config.committee in
-      let quorum = Committee.quorum committee in
-      if List.length matching >= quorum then begin
-        let sigs =
-          List.sort
-            (fun (a, _) (b, _) -> Int.compare a b)
-            (List.map (fun (v, _, s) -> (v, s)) matching)
-        in
-        let ck = Checkpoint.certify ~n:committee.Shoalpp_dag.Committee.n cand sigs in
-        (* Refuse to prune on anything but a verified certificate. *)
-        if
-          Checkpoint.verify ~cluster_seed:committee.Shoalpp_dag.Committee.cluster_seed
-            ~quorum ck
-        then ck_install t m ck
-        else Obs.incr t.obs "ck.cert_rejected"
-      end)
+  match Hashtbl.find_opt m.ck_pending seq with
+  | Some { mine = Some (cand, digest); votes } ->
+    let sigs =
+      List.filter_map (fun (v, d, s) -> if Digest32.equal d digest then Some (v, s) else None) votes
+    in
+    let committee = t.cfg.Config.committee in
+    let quorum = Committee.quorum committee in
+    if List.length sigs >= quorum then begin
+      let ck = Checkpoint.certify ~n:committee.Committee.n cand sigs in
+      (* Refuse to prune on anything but a verified certificate. *)
+      if Checkpoint.verify ~cluster_seed:committee.Committee.cluster_seed ~quorum ck then
+        ck_install t m ck
+      else Obs.incr t.obs "ck.cert_rejected"
+    end
   | _ -> ()
 
 let handle_checkpoint_vote t ~ck_seq ~ck_digest ~ck_voter ~ck_signature =
   match t.ck with
   | None -> ()
   | Some m ->
-    let stale =
-      match m.ck_latest with Some ck -> ck_seq <= Checkpoint.seq ck | None -> false
-    in
+    let latest = match m.ck_latest with Some ck -> Checkpoint.seq ck | None -> -1 in
     let committee = t.cfg.Config.committee in
-    (* Buffer votes for boundaries up to a fixed horizon ahead of whichever
-       is further along: our own merge position or the last certified
-       checkpoint. Anchoring the horizon to [ck_latest] matters under real
-       time: replicas drift by more than a few intervals of merge progress,
-       and a vote dropped here is never re-sent — a horizon relative only
-       to [global_seq] would let certification stall cluster-wide (and with
-       it checkpoint-anchored pruning). The buffer stays bounded at
-       [horizon / interval] boundaries of at most [n] votes each. *)
-    let horizon =
-      (match m.ck_latest with
-      | Some ck -> max t.global_seq (Checkpoint.seq ck + 1)
-      | None -> t.global_seq)
-      + ck_vote_horizon + (4 * m.ck_interval)
-    in
-    if
-      (not stale)
-      && ck_seq < horizon
-      && Committee.valid_replica committee ck_voter
-    then begin
+    (* Admit votes for boundary seqs above the last certified checkpoint, up
+       to a fixed horizon ahead of our merge position or that checkpoint,
+       whichever is further. Anchoring to [ck_latest] matters under real
+       time: replicas drift by more than a few intervals, and a vote dropped
+       here is never re-sent, so a horizon relative only to [global_seq]
+       could stall certification (and checkpoint-anchored pruning)
+       cluster-wide. The table stays bounded at [horizon / interval]
+       boundaries of at most [n] votes each. *)
+    let horizon = max t.global_seq (latest + 1) + ck_vote_horizon + (4 * m.ck_interval) in
+    if not (ck_seq > latest && ck_seq < horizon && (ck_seq + 1) mod m.ck_interval = 0) then
+      Obs.incr t.obs "ck.votes_dropped"
+    else if Committee.valid_replica committee ck_voter then begin
       if Validation.checkpoint_vote_signature_ok ~committee ~ck_digest ~ck_voter ~ck_signature
       then begin
-        let votes =
-          match Hashtbl.find_opt m.ck_votes ck_seq with
-          | Some l -> l
-          | None ->
-            let l = ref [] in
-            Hashtbl.replace m.ck_votes ck_seq l;
-            l
-        in
-        if not (List.exists (fun (v, _, _) -> Int.equal v ck_voter) !votes) then begin
-          votes := (ck_voter, ck_digest, ck_signature) :: !votes;
+        let b = ck_pending_entry m ck_seq in
+        if not (List.exists (fun (v, _, _) -> Int.equal v ck_voter) b.votes) then begin
+          Hashtbl.replace m.ck_pending ck_seq
+            { b with votes = (ck_voter, ck_digest, ck_signature) :: b.votes };
           ck_try_certify t m ~seq:ck_seq
         end
       end
@@ -261,6 +253,7 @@ let handle_checkpoint_vote t ~ck_seq ~ck_digest ~ck_voter ~ck_signature =
     end
 
 let ck_boundary t m ~seq =
+  Obs.incr t.obs "ck.boundaries";
   (* The interval is a multiple of the lane count, so by the time the merge
      reaches a boundary every lane's last segment of the window carried a
      driver snapshot (snapshot_every = interval / num_dags). *)
@@ -275,17 +268,21 @@ let ck_boundary t m ~seq =
            m.ck_lane_latest)
     in
     let cand = { Checkpoint.seq; lanes; state = m.ck_state } in
-    m.ck_candidate <- Some cand;
+    let digest = Checkpoint.digest cand in
+    (* A boundary a whole vote horizon behind this one is superseded by any
+       later certificate; forgetting it keeps the table bounded even if
+       certification stalls. *)
+    ck_forget m ~upto:(seq - ck_vote_horizon - (4 * m.ck_interval));
+    Hashtbl.replace m.ck_pending seq { (ck_pending_entry m seq) with mine = Some (cand, digest) };
     if not t.replaying then begin
-      let committee = t.cfg.Config.committee in
-      let kp = Committee.keypair committee t.id in
+      let kp = Committee.keypair t.cfg.Config.committee t.id in
       let payload =
         Types.Checkpoint_vote
           {
             ck_seq = seq;
-            ck_digest = Checkpoint.digest cand;
+            ck_digest = digest;
             ck_voter = t.id;
-            ck_signature = Checkpoint.sign kp cand;
+            ck_signature = Signer.sign kp (Checkpoint.preimage_of_digest digest);
           }
       in
       let env = { dag_id = control_dag_id; payload } in
@@ -584,8 +581,7 @@ let make_lane t dag_id =
    is raised to the driver's restored floor. *)
 let ck_restore_from t m ck =
   m.ck_latest <- Some ck;
-  m.ck_candidate <- None;
-  Hashtbl.reset m.ck_votes;
+  Hashtbl.reset m.ck_pending;
   m.ck_state <- Checkpoint.state ck;
   Array.fill m.ck_lane_latest 0 (Array.length m.ck_lane_latest) None;
   t.global_seq <- Checkpoint.seq ck + 1;
@@ -833,7 +829,7 @@ let create ~config ~replica_id ~backend ~mempool ?on_ordered ?on_caught_up ?trac
            Some
              {
                ck_interval = interval;
-               (* Separate always-retaining device: certified checkpoints
+               (* Separate retaining device: certified checkpoints
                   must survive protocol-WAL truncation, and their writes
                   must not perturb its group-commit timing. *)
                ck_wal =
@@ -841,8 +837,7 @@ let create ~config ~replica_id ~backend ~mempool ?on_ordered ?on_caught_up ?trac
                    ~sync_latency_ms:config.Config.wal_sync_ms ~retain:true ();
                ck_state = Digest32.zero;
                ck_lane_latest = Array.make config.Config.num_dags None;
-               ck_candidate = None;
-               ck_votes = Hashtbl.create 8;
+               ck_pending = Hashtbl.create 8;
                ck_latest = None;
                ck_main_marks = [];
              });
@@ -859,6 +854,11 @@ let create ~config ~replica_id ~backend ~mempool ?on_ordered ?on_caught_up ?trac
     }
   in
   t.lanes <- Array.init config.Config.num_dags (fun dag_id -> make_lane t dag_id);
+  (* The knob's honour rate shows in --metrics-out and /metrics even at zero. *)
+  if Option.is_some t.ck then
+    List.iter
+      (fun c -> ignore (Obs.counter obs c))
+      [ "ck.boundaries"; "ck.certified"; "ck.votes_dropped" ];
   (* Under a lane_env the harness owns message routing (inbound messages
      must cross the verify pool and land on the right lane's domain), so
      the replica does not claim the transport slot itself. *)
@@ -946,8 +946,7 @@ let recover ?(wipe = false) t =
       end;
       (* Vote state never survives a restart; the running digest restarts
          from zero (or from the restored checkpoint's state below). *)
-      m.ck_candidate <- None;
-      Hashtbl.reset m.ck_votes;
+      Hashtbl.reset m.ck_pending;
       m.ck_state <- Digest32.zero;
       Array.fill m.ck_lane_latest 0 (Array.length m.ck_lane_latest) None
     | None -> ());

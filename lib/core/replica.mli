@@ -20,7 +20,11 @@
       deterministic function of the committed prefix;
     - pruning (WAL truncation, store GC below a checkpoint) happens only
       under a certificate that passed
-      {!Shoalpp_storage.Checkpoint.verify} — never on local state alone. *)
+      {!Shoalpp_storage.Checkpoint.verify} — never on local state alone;
+    - pending checkpoint boundaries are keyed by boundary seqs above the
+      latest certified checkpoint and hold at most one vote per voter, so a
+      Byzantine voter can neither park votes elsewhere nor stand in for a
+      quorum. *)
 
 type envelope = { dag_id : int; payload : Shoalpp_dag.Types.message }
 (** What travels on the wire: one DAG instance's message, tagged. *)
@@ -96,9 +100,16 @@ val create :
     bounded-memory lifecycle: every effective-interval merged segments it
     folds the commit stream into a digest, votes on the resulting
     checkpoint candidate over the control plane, and on a quorum of
-    matching votes certifies it, persists it to a dedicated
-    always-retaining WAL device, and truncates the protocol WAL to the
-    last two checkpoint windows. [on_caught_up] fires each time a
+    matching votes certifies it, persists it to a dedicated WAL device
+    that keeps the two newest certificates, and truncates the protocol
+    WAL to the last two checkpoint windows. Each boundary stays pending (our
+    candidate plus the verified votes for it) until it certifies or a
+    newer certificate supersedes it, so every boundary certifies however
+    late its votes arrive. Votes are admitted only at boundary seqs above
+    the latest certified checkpoint and below a fixed horizon; the rest
+    count under [ck.votes_dropped] (bad signatures under
+    [ck.votes_rejected]). [ck.boundaries] and [ck.certified] count the
+    boundaries reached and certified. [on_caught_up] fires each time a
     {!recover} finishes — synchronously when recovery is purely local,
     or once peer catch-up sync completes on every lane.
 

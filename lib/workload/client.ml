@@ -23,9 +23,11 @@ type t = {
    (coordinated omission). When a firing finds further arrivals already
    overdue it submits the whole burst in place rather than re-queueing one
    timer per arrival, so a loaded loop owes at most one timer dispatch per
-   burst. Under a backend whose timers fire exactly on time (the
-   simulator) every burst has length one and the arrival process is
-   unchanged. *)
+   burst. Each transaction is stamped with its due time [next_at], not the
+   (late) firing time, so a stalled loop shows up as latency instead of
+   hiding inside it. Under a backend whose timers fire exactly on time (the
+   simulator) every burst has length one, the two times coincide, and the
+   arrival process is unchanged. *)
 let submit_one t =
   let id = !(t.next_id) in
   (* Overflow guard: advancing past [max_int - stride] would wrap the id
@@ -39,11 +41,7 @@ let submit_one t =
     t.exhausted <- true
   end
   else t.next_id := id + t.stride;
-  let tx =
-    Transaction.make ~id ~size:t.tx_size
-      ~submitted_at:(t.clock.Backend.Clock.now ())
-      ~origin:t.origin ()
-  in
+  let tx = Transaction.make ~id ~size:t.tx_size ~submitted_at:t.next_at ~origin:t.origin () in
   ignore (Mempool.submit t.mempool tx);
   t.generated <- t.generated + 1
 

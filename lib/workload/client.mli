@@ -11,6 +11,9 @@
       identical seeds give identical submission times and sizes;
     - no transactions are generated after the configured stop/horizon, and
       all scheduling goes through the injected backend timers;
+    - a transaction's [submitted_at] is its scheduled arrival time, never
+      the (possibly late) time its timer fired: when a stalled loop fires
+      a burst of overdue arrivals, each keeps its own due time;
     - transaction ids never repeat: stride-sharded id spaces stay disjoint
       across client lanes at any horizon — a lane whose next id would
       overflow [max_int] submits the last representable id and stops

@@ -92,6 +92,29 @@ dune exec bin/shoalpp_sim.exe -- \
 grep -q '"fault.recoveries"' "$out/faults.metrics.json" \
   || { echo "check failed: fault counters missing from scenario metrics" >&2; exit 1; }
 
+# Checkpoint-knob smoke: --checkpoint-interval C must certify every
+# boundary the merge reaches, not only those whose votes outrun the next
+# boundary. At n=10 on gcp10 a vote round trip outlasts a C=12 window, so
+# each replica may leave at most its last boundary uncertified:
+# ck.certified >= ck.boundaries - n.
+dune exec bin/shoalpp_sim.exe -- \
+  -n 10 --topology gcp10 --load 500 --duration 5000 --warmup 500 --no-verify \
+  --checkpoint-interval 12 --metrics-out "$out/ck.metrics.json" > "$out/ck.out"
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$out/ck.metrics.json" <<'EOF' || { echo "check failed: checkpoint boundaries left uncertified" >&2; exit 1; }
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+b, k = c["ck.boundaries"], c["ck.certified"]
+assert b >= 10 * 10, f"too few boundaries reached: {b}"
+assert k >= b - 10, f"ck.certified {k} < ck.boundaries {b} - n"
+assert "ck.votes_dropped" in c, "ck.votes_dropped missing from metrics"
+print(f"checkpoint smoke: {k} of {b} boundaries certified, {c['ck.votes_dropped']} votes dropped")
+EOF
+else
+  grep -q '"ck.boundaries"' "$out/ck.metrics.json" \
+    || { echo "check failed: ck.boundaries missing from metrics" >&2; exit 1; }
+fi
+
 # Real-time node smoke: the same replicas on a wall clock (sans-I/O seam),
 # run in the background with the live admin plane up so /health and
 # /metrics are scraped MID-RUN — the endpoint must serve while consensus is
@@ -287,6 +310,8 @@ CEILING = 64e6  # words; the checkpointed 12s/500tps run steadies near 11M
 assert heap < CEILING, f"live heap {heap:.0f} words >= ceiling {CEILING:.0f}"
 pruned = gauge("shoalpp_gc_pruned_vertices")
 assert pruned and pruned > 0, "checkpoint-anchored pruning never ran"
+for name in ("shoalpp_ck_boundaries", "shoalpp_ck_certified", "shoalpp_ck_votes_dropped"):
+    assert gauge(name) is not None, f"{name} missing from /metrics"
 print(f"mem smoke: live heap {heap/1e6:.1f}M words (< {CEILING/1e6:.0f}M), {pruned:.0f} vertices pruned")
 EOF
 else

@@ -411,6 +411,172 @@ let test_golden_determinism_on_vs_off () =
   checkb "checkpoints certified" true (Telemetry.snap_counter snap "ck.certified" > 0);
   checkb "vertices pruned" true (Telemetry.snap_counter snap "gc.pruned_vertices" > 0)
 
+(* ------------------------------------------------------------------ *)
+(* The checkpoint knob does what it says: every boundary the merge
+   reaches certifies, not only those whose votes beat the next boundary.
+   At n=10 on gcp10 votes take longer than a C=12 window, which the
+   n=4 clique above never shows.                                       *)
+
+let test_every_boundary_certifies () =
+  let interval = 12 in
+  let p =
+    {
+      E.default_params with
+      E.n = 10;
+      load_tps = 500.0;
+      duration_ms = 5_000.0;
+      topology = E.Gcp10;
+      verify_signatures = false;
+      checkpoint_interval = interval;
+      trace = true;
+      trace_capacity = 2_000_000;
+    }
+  in
+  let r = E.run E.Shoalpp p in
+  checkb "audit passes" true r.E.audit_ok;
+  let boundaries = Array.make p.E.n 0 and certified = Array.make p.E.n 0 in
+  List.iter
+    (fun (ev : Trace.event) ->
+      match ev.Trace.kind with
+      | Trace.Segment_interleaved { global_seq; _ } when (global_seq + 1) mod interval = 0 ->
+        boundaries.(ev.Trace.replica) <- boundaries.(ev.Trace.replica) + 1
+      | Trace.Checkpoint_certified _ ->
+        certified.(ev.Trace.replica) <- certified.(ev.Trace.replica) + 1
+      | _ -> ())
+    r.E.events;
+  Array.iteri
+    (fun i b ->
+      checkb (Printf.sprintf "replica %d reached boundaries" i) true (b >= 10);
+      checkb
+        (Printf.sprintf "replica %d certified %d of %d boundaries" i certified.(i) b)
+        true
+        (certified.(i) >= b - 1))
+    boundaries;
+  let snap = r.E.report.Shoalpp_runtime.Report.telemetry in
+  checki "ck.boundaries counts every boundary" (Array.fold_left ( + ) 0 boundaries)
+    (Telemetry.snap_counter snap "ck.boundaries");
+  checki "ck.certified counts every certificate" (Array.fold_left ( + ) 0 certified)
+    (Telemetry.snap_counter snap "ck.certified")
+
+(* Four replicas whose control plane swallows every checkpoint vote
+   (keeping it for the test): merges reach boundaries, nothing certifies
+   until votes are delivered by hand through [Replica.deliver]. *)
+let test_crafted_checkpoint_votes () =
+  let module Backend = Shoalpp_backend.Backend in
+  let module Backend_sim = Shoalpp_backend.Backend_sim in
+  let module Topology = Shoalpp_sim.Topology in
+  let n = 4 and interval = 12 in
+  let committee = Committee.make ~n ~cluster_seed:9 () in
+  let protocol =
+    Config.with_checkpoint_interval
+      (Config.without_signature_checks (Config.shoalpp ~committee))
+      interval
+  in
+  let topology = Topology.clique ~regions:2 ~one_way_ms:20.0 in
+  let world =
+    Backend_sim.make ~topology ~assignment:(Topology.assign_round_robin topology ~n)
+      ~fault:Shoalpp_sim.Fault_schedule.none ~config:Backend_sim.default_net_config ~seed:3 ()
+  in
+  let captured = ref [] in
+  let backend =
+    let b = Backend_sim.backend world in
+    let mute =
+      {
+        b.Backend.transport with
+        Backend.Transport.broadcast =
+          (fun ~src:_ ~size:_ ~include_self:_ (env : Replica.envelope) ->
+            captured := env.Replica.payload :: !captured);
+      }
+    in
+    { b with Backend.control = Some mute }
+  in
+  let telemetry = Telemetry.create () in
+  let replicas =
+    Array.init n (fun replica_id ->
+        Replica.create ~config:protocol ~replica_id ~backend ~mempool:(Shoalpp_workload.Mempool.create ())
+          ~telemetry ())
+  in
+  Array.iter Replica.start replicas;
+  Backend_sim.run ~until:4_000.0 world;
+  let r = replicas.(0) in
+  let counter name = Telemetry.get_counter telemetry name in
+  checki "nothing certified without votes" 0 (counter "ck.certified");
+  checkb "replica 0 passed several boundaries" true (Replica.log_length r > 3 * interval);
+  let real_vote ~seq ~voter =
+    List.find_map
+      (function
+        | Types.Checkpoint_vote { ck_seq; ck_voter; _ } as v when ck_seq = seq && ck_voter = voter ->
+          Some v
+        | _ -> None)
+      !captured
+    |> Option.get
+  in
+  let digest_at seq =
+    match real_vote ~seq ~voter:1 with
+    | Types.Checkpoint_vote { ck_digest; _ } -> ck_digest
+    | _ -> assert false
+  in
+  let forged ~seq ~voter ck_digest =
+    Types.Checkpoint_vote
+      {
+        ck_seq = seq;
+        ck_digest;
+        ck_voter = voter;
+        ck_signature =
+          Signer.sign (Committee.keypair committee voter) (Checkpoint.preimage_of_digest ck_digest);
+      }
+  in
+  let deliver msg = Replica.deliver r ~dag_id:Replica.control_dag_id ~src:1 msg in
+  (* Let the checkpoint device's writes sync. *)
+  let settle () = Backend_sim.run ~until:(Backend_sim.now world +. 50.0) world in
+  let first = interval - 1 and second = (2 * interval) - 1 in
+  (* Correctly signed quorums at a non-boundary seq and beyond the horizon
+     are dropped and counted. *)
+  for voter = 0 to n - 1 do
+    deliver (forged ~seq:(first + 1) ~voter (digest_at first));
+    deliver (forged ~seq:((1_000 * interval) - 1) ~voter (digest_at first))
+  done;
+  checki "non-boundary and beyond-horizon votes dropped" (2 * n) (counter "ck.votes_dropped");
+  (* One voter repeating itself is one vote, never a quorum. *)
+  for _ = 1 to n do
+    deliver (real_vote ~seq:first ~voter:1)
+  done;
+  checki "repeats never certify" 0 (counter "ck.certified");
+  (* A pending boundary behind the newest one still certifies... *)
+  deliver (real_vote ~seq:first ~voter:2);
+  deliver (real_vote ~seq:first ~voter:3);
+  checki "older pending boundary certified" 1 (counter "ck.certified");
+  settle ();
+  checki "at its own seq" first
+    (Option.fold ~none:(-1) ~some:Checkpoint.seq (Replica.latest_checkpoint r));
+  (* ...then the next, and votes at or below the certified seq are stale. *)
+  List.iter (fun voter -> deliver (real_vote ~seq:second ~voter)) [ 1; 2; 3 ];
+  checki "next boundary certified" 2 (counter "ck.certified");
+  settle ();
+  checki "latest is the next boundary" second
+    (Option.fold ~none:(-1) ~some:Checkpoint.seq (Replica.latest_checkpoint r));
+  let dropped = counter "ck.votes_dropped" in
+  deliver (real_vote ~seq:first ~voter:0);
+  checki "stale vote dropped" (dropped + 1) (counter "ck.votes_dropped");
+  (* A bad signature at an admissible boundary is still rejected. *)
+  let third = (3 * interval) - 1 in
+  deliver
+    (match forged ~seq:third ~voter:2 (digest_at third) with
+    | Types.Checkpoint_vote v -> Types.Checkpoint_vote { v with ck_voter = 3 }
+    | m -> m);
+  checki "bad signature rejected" 1 (counter "ck.votes_rejected");
+  checki "and not counted as dropped" (dropped + 1) (counter "ck.votes_dropped");
+  (* The checkpoint device keeps only the two newest certificates. *)
+  List.iter (fun voter -> deliver (real_vote ~seq:third ~voter)) [ 1; 2; 3 ];
+  checki "third boundary certified" 3 (counter "ck.certified");
+  settle ();
+  let kept =
+    List.map
+      (fun blob -> Checkpoint.seq (Checkpoint.decode ~keys:committee.Committee.keys blob))
+      (Wal.entries (Option.get (Replica.checkpoint_wal r)))
+  in
+  Alcotest.(check (list int)) "device holds the two newest" [ second; third ] kept
+
 let suite =
   [
     ( "storage.lifecycle",
@@ -426,5 +592,7 @@ let suite =
         Alcotest.test_case "sync client rotates on no-progress" `Quick test_sync_client_rotates_on_no_progress;
         Alcotest.test_case "checkpointed crash-recover" `Slow test_checkpointed_crash_recover;
         Alcotest.test_case "determinism: checkpointing on vs off" `Slow test_golden_determinism_on_vs_off;
+        Alcotest.test_case "every boundary certifies" `Slow test_every_boundary_certifies;
+        Alcotest.test_case "crafted checkpoint votes" `Quick test_crafted_checkpoint_votes;
       ] );
   ]

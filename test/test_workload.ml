@@ -109,6 +109,50 @@ let test_client_timestamps_are_submission_times () =
       checkb "timestamp in run" true (t.Transaction.submitted_at > 0.0 && t.Transaction.submitted_at <= 2_000.0))
     (Mempool.pull m ~max:max_int)
 
+(* A stalled loop: the fake timers fire every callback [lag] ms after it
+   was due, so each firing finds a burst of arrivals overdue. Every
+   transaction of a burst must carry its own due time — strictly
+   increasing stamps, none equal to the late firing time. *)
+let test_client_stamps_due_time_under_late_timers () =
+  let module Backend = Shoalpp_backend.Backend in
+  let lag = 50.0 in
+  let now = ref 0.0 in
+  let pending = ref [] in
+  let scheduled = ref [] in
+  let clock = { Backend.Clock.now = (fun () -> !now); monotonic = (fun () -> !now) } in
+  let handle = { Backend.cancel = (fun () -> ()); is_pending = (fun () -> false) } in
+  let schedule_at ~at f =
+    scheduled := at :: !scheduled;
+    pending := (at, f) :: !pending;
+    handle
+  in
+  let timers =
+    { Backend.Timers.schedule = (fun ~after f -> schedule_at ~at:(!now +. after) f); schedule_at }
+  in
+  let m = Mempool.create () in
+  ignore (Client.start ~clock ~timers ~mempool:m ~origin:0 ~rate_tps:1000.0 ~seed:5 ());
+  let firings = ref [] in
+  for _ = 1 to 20 do
+    match !pending with
+    | [ (at, f) ] ->
+      pending := [];
+      now := at +. lag;
+      firings := !now :: !firings;
+      f ()
+    | _ -> Alcotest.fail "expected exactly one armed timer"
+  done;
+  let stamps =
+    List.map (fun (t : Transaction.t) -> t.Transaction.submitted_at) (Mempool.pull m ~max:max_int)
+  in
+  checkb "bursts happened" true (List.length stamps > 2 * List.length !firings);
+  let rec increasing = function a :: (b :: _ as rest) -> a < b && increasing rest | _ -> true in
+  checkb "stamps strictly increasing" true (increasing stamps);
+  checkb "no stamp is a late firing time" true
+    (List.for_all (fun s -> not (List.exists (Float.equal s) !firings)) stamps);
+  Alcotest.(check (float 0.0)) "first stamp is the first due time"
+    (List.nth !scheduled (List.length !scheduled - 1))
+    (List.hd stamps)
+
 (* The open-loop guards: a rate must be finite and positive, shard
    parameters must describe a real lane, and the id space never wraps —
    a lane whose next id would overflow submits the last representable id
@@ -174,6 +218,8 @@ let suite =
         Alcotest.test_case "client unique ids" `Quick test_client_unique_ids_across_replicas;
         Alcotest.test_case "client stop" `Quick test_client_stop;
         Alcotest.test_case "client timestamps" `Quick test_client_timestamps_are_submission_times;
+        Alcotest.test_case "client stamps due time under late timers" `Quick
+          test_client_stamps_due_time_under_late_timers;
         Alcotest.test_case "client rejects bad parameters" `Quick test_client_rejects_bad_parameters;
         Alcotest.test_case "client id overflow stops lane" `Quick test_client_id_overflow_stops_lane;
       ] );
