@@ -114,13 +114,6 @@ let cleanup_uds_dir ~n ~created dir =
 let run n duration load warmup timeout link_delay seed no_verify domains verify_delay
     checkpoint_interval restart transport uds_dir tcp_port coalesce_us topology trace_out
     metrics_out admin_port ledger_tail =
-  let committee = Committee.make ~n ~cluster_seed:seed () in
-  let protocol =
-    let p = Config.shoalpp ~committee in
-    let p = if no_verify then Config.without_signature_checks p else p in
-    let p = Config.with_checkpoint_interval p (max 0 checkpoint_interval) in
-    match timeout with Some ms -> Config.round_timeout p ms | None -> p
-  in
   (match restart with
   | Some _ when domains > 1 ->
     Printf.eprintf "shoalpp_node: --restart requires --domains 1\n";
@@ -151,6 +144,21 @@ let run n duration load warmup timeout link_delay seed no_verify domains verify_
       | Error msg ->
         Printf.eprintf "shoalpp_node: --topology: %s\n" msg;
         exit 1)
+  in
+  let committee = Committee.make ~n ~cluster_seed:seed () in
+  let protocol =
+    (* Lanes evenly spread over one round period of this network, as the
+       simulator derives it from its topology. *)
+    let max_one_way_ms =
+      link_delay
+      +. Option.fold ~none:0.0
+           ~some:(Array.fold_left (Array.fold_left Float.max) 0.0)
+           delays_ms
+    in
+    let p = Config.with_stagger_for ~max_one_way_ms (Config.shoalpp ~committee) in
+    let p = if no_verify then Config.without_signature_checks p else p in
+    let p = Config.with_checkpoint_interval p (max 0 checkpoint_interval) in
+    match timeout with Some ms -> Config.round_timeout p ms | None -> p
   in
   let trace = if trace_out <> None then Some (Trace.create ~enabled:true ~capacity:65536 ()) else None in
   let setup =
@@ -332,7 +340,11 @@ let cmd =
     Arg.(
       value
       & opt float 0.0
-      & info [ "link-delay" ] ~doc:"Loopback transport: artificial per-message delay, ms.")
+      & info [ "link-delay" ]
+          ~doc:
+            "Loopback transport: artificial per-message delay, ms. Also sets the lane \
+             stagger: one round period (3 one-way delays, each this delay plus the largest \
+             --topology delay) over the 3 DAGs.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Cluster seed (keys, clients).") in
   let no_verify =
@@ -370,9 +382,10 @@ let cmd =
       & opt int 0
       & info [ "checkpoint-interval" ] ~docv:"C"
           ~doc:
-            "Certify a checkpoint (and prune history below it) every C committed anchors; 0 \
-             (default) disables the bounded-memory lifecycle. Rounded up to a multiple of the \
-             DAG count. Every boundary certifies once a quorum votes for it (ck.boundaries and \
+            "Certify a checkpoint (and prune history below it) at least every C committed \
+             anchors: C is a minimum spacing, each boundary rounding up to the next merge turn \
+             end (a lane-round); 0 (default) disables the bounded-memory lifecycle. Every \
+             boundary certifies once a quorum votes for it (ck.boundaries and \
              ck.certified in --metrics-out and /metrics). The commit sequence is identical at \
              any value.")
   in

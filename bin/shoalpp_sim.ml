@@ -183,7 +183,13 @@ let cmd =
   in
   let dags = Arg.(value & opt (some int) None & info [ "dags" ] ~doc:"Parallel DAGs override.") in
   let stagger =
-    Arg.(value & opt (some float) None & info [ "stagger" ] ~doc:"DAG stagger override, ms.")
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "stagger" ]
+          ~doc:
+            "DAG stagger override, ms (default: one round period over the DAG count, the \
+             period being 3 x the topology's largest one-way delay).")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
   let no_verify =
@@ -195,10 +201,11 @@ let cmd =
       & opt int 0
       & info [ "checkpoint-interval" ] ~docv:"C"
           ~doc:
-            "Certify a checkpoint (and prune history below it) every C committed anchors; 0 \
-             (default) disables the bounded-memory lifecycle. Rounded up to a multiple of the \
-             DAG count so the boundary always lands on the round-robin merge seam. Every \
-             boundary certifies once a quorum votes for it (ck.boundaries and ck.certified in \
+            "Certify a checkpoint (and prune history below it) at least every C committed \
+             anchors: C is a minimum spacing, each boundary rounding up to the next merge turn \
+             end (a lane-round) where every lane's last merged segment carries a driver \
+             snapshot; 0 (default) disables the bounded-memory lifecycle. Every boundary \
+             certifies once a quorum votes for it (ck.boundaries and ck.certified in \
              --metrics-out). Commit sequences are identical at any value.")
   in
   let series = Arg.(value & flag & info [ "series" ] ~doc:"Print per-second time series.") in

@@ -13,12 +13,18 @@ type segment = {
   kind : kind;
   nodes : Types.certified_node list;
   committed_at : float;
+  closes_turn : bool;
+      (* The lane-round ends here for the Alg. 3 merge: no candidate of
+         this anchor round is left, or the next one belongs to an author
+         already skipped ([Reputation.miss_streak] >= 1), whose slot would
+         otherwise hold the turn open until its Skip_to. A function of the
+         post-segment scheduling state, hence of the committed prefix. *)
   resume : string option;
       (* Checkpoint snapshot of the driver's post-segment state, attached to
-         every [snapshot_every]-th emitted segment. A pure function of the
-         committed prefix (no clocks, no local DAG progress), so replicas
-         with equal prefixes attach byte-equal blobs — which is what lets
-         the checkpoint digest cover it. *)
+         every turn-closing segment when snapshots are on. A pure function
+         of the committed prefix (no clocks, no local DAG progress), so
+         replicas with equal prefixes attach byte-equal blobs — which is
+         what lets the checkpoint digest cover it. *)
 }
 
 type config = {
@@ -31,10 +37,9 @@ type config = {
   reputation_window : int;
   staleness : int;
   gc_depth : int;
-  snapshot_every : int;
-      (** attach a resume blob to every k-th emitted segment; 0 = never.
-          Set to [checkpoint_interval / num_dags] so blobs land exactly on
-          checkpoint boundaries of the merged stream. *)
+  snapshots : bool;
+      (** attach a resume blob to every turn-closing segment, the only
+          places a checkpoint boundary of the merged stream can fall. *)
 }
 
 let default_config ~committee =
@@ -48,7 +53,7 @@ let default_config ~committee =
     reputation_window = 64;
     staleness = 8;
     gc_depth = 12;
-    snapshot_every = 0;
+    snapshots = false;
   }
 
 let bullshark_config ~committee =
@@ -268,10 +273,9 @@ let resolve_candidate t ~round ~author =
 (* Checkpoint snapshot blob.
 
    Everything the driver needs to resume ordering mid-history: the current
-   candidate round and its remaining vector, the per-lane segment count
-   (keeps snapshot cadence aligned after restore), the ordered-position
-   window at or above the store's retained floor, and the full reputation
-   state. All of it is a deterministic function of the committed prefix.
+   candidate round and its remaining vector, the per-lane segment count,
+   the ordered-position window at or above the store's retained floor, and
+   the full reputation state. All of it is a deterministic function of the committed prefix.
 
    Varints are unsigned; fields that can be -1 are shifted by one. *)
 
@@ -410,11 +414,12 @@ let output_segment t ~round ~author ~kind ~finish =
       Obs.event t.obs ~time
         (Trace.Segment_committed { round; anchor = author; nodes = List.length nodes });
       let deferred = finish () in
-      let resume =
-        if t.cfg.snapshot_every > 0 && t.segments mod t.cfg.snapshot_every = 0 then
-          Some (encode_snapshot t)
-        else None
+      let closes_turn =
+        match t.pending with
+        | [] -> true
+        | next :: _ -> Reputation.miss_streak t.rep next >= 1
       in
+      let resume = if t.cfg.snapshots && closes_turn then Some (encode_snapshot t) else None in
       t.hooks.on_segment
         {
           dag_id = t.cfg.dag_id;
@@ -422,6 +427,7 @@ let output_segment t ~round ~author ~kind ~finish =
           kind;
           nodes;
           committed_at = t.hooks.now ();
+          closes_turn;
           resume;
         };
       if round - t.cfg.gc_depth > 0 then t.hooks.request_gc ~round:(round - t.cfg.gc_depth);

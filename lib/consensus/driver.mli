@@ -41,11 +41,18 @@ type segment = {
   kind : kind;
   nodes : Shoalpp_dag.Types.certified_node list;
   committed_at : float;
+  closes_turn : bool;
+      (** True when this segment ends the lane's turn in the Alg. 3 merge:
+          after it, the driver has no candidate left in this anchor round,
+          or its next candidate's author has a {!Reputation.miss_streak} of
+          at least 1 (a slot that will likely be skipped must not hold the
+          turn open until its Skip_to). A deterministic function of the
+          committed prefix. *)
   resume : string option;
-      (** Opaque driver snapshot, present on every [snapshot_every]-th
-          segment (checkpointing enabled). A deterministic function of the
-          committed prefix: byte-identical at every correct replica emitting
-          the same segment, and accepted by {!restore}. *)
+      (** Opaque driver snapshot, present on every turn-closing segment
+          when [snapshots] is on (checkpointing enabled). A deterministic
+          function of the committed prefix: byte-identical at every correct
+          replica emitting the same segment, and accepted by {!restore}. *)
 }
 
 type config = {
@@ -62,9 +69,9 @@ type config = {
   reputation_window : int;
   staleness : int;
   gc_depth : int;  (** rounds of history kept below the committed anchor *)
-  snapshot_every : int;
-      (** emit a {!segment.resume} snapshot every this many segments
-          (0 = never; checkpointing off). *)
+  snapshots : bool;
+      (** emit a {!segment.resume} snapshot on every turn-closing segment
+          (false: never; checkpointing off). *)
 }
 
 val default_config : committee:Shoalpp_dag.Committee.t -> config

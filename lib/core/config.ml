@@ -42,15 +42,9 @@ let base ~committee ~name =
     seed = 42;
   }
 
-(* The Alg. 3 merge consumes one segment per lane per k-step cycle, so a
-   boundary that every lane reaches simultaneously must be a multiple of the
-   lane count: round the requested interval up so "every C committed
-   anchors" is also "every C/k segments of each lane". *)
-let effective_checkpoint_interval t =
-  if t.checkpoint_interval <= 0 then 0
-  else
-    let k = t.num_dags in
-    (t.checkpoint_interval + k - 1) / k * k
+(* Kept only for perfbench, which still calls it; delete it with the next
+   benchmark change. *)
+let effective_checkpoint_interval t = max 0 t.checkpoint_interval
 
 let with_checkpoint_interval t interval =
   if interval < 0 then invalid_arg "Config.with_checkpoint_interval: need >= 0";
@@ -81,6 +75,12 @@ let with_all_to_all t =
 let with_dags t k =
   if k < 1 then invalid_arg "Config.with_dags: need k >= 1";
   { t with num_dags = k; name = (if k > 1 then Printf.sprintf "%s-%ddags" t.name k else t.name) }
+
+(* Round period under [All_or_timeout]: a round completes when the
+   slowest certificate arrives, three one-way delays after it started
+   (proposal, vote, certificate). *)
+let with_stagger_for ~max_one_way_ms t =
+  { t with stagger_ms = 3.0 *. max_one_way_ms /. float_of_int t.num_dags }
 
 let with_name t name = { t with name }
 let without_signature_checks t = { t with verify_signatures = false }
@@ -118,7 +118,5 @@ let driver_config t ~dag_id =
     reputation_window = 64;
     staleness = 8;
     gc_depth = t.gc_depth;
-    snapshot_every =
-      (let c = effective_checkpoint_interval t in
-       if c = 0 then 0 else c / t.num_dags);
+    snapshots = t.checkpoint_interval > 0;
   }

@@ -34,10 +34,10 @@ type t = {
   fetch_delay_ms : float;
   gc_depth : int;
   checkpoint_interval : int;
-      (** commit-certified checkpoint every this many committed anchors in
-          the merged sequence (0 = checkpointing and pruning-to-checkpoint
-          off). Rounded up to a multiple of [num_dags] — see
-          {!effective_checkpoint_interval}. *)
+      (** commit-certified checkpoints at least this many committed anchors
+          apart in the merged sequence, each rounded up to the next merge
+          turn end where every lane's last segment carries a driver
+          snapshot (0 = checkpointing and pruning-to-checkpoint off). *)
   seed : int;
 }
 
@@ -53,6 +53,13 @@ val with_all_to_all : t -> t
 val with_dags : t -> int -> t
 (** Run [k] staggered DAG instances of the given protocol ("More DAGs"). *)
 
+val with_stagger_for : max_one_way_ms:float -> t -> t
+(** Stagger the [num_dags] lanes evenly over one round period, taken as
+    three times the network's largest one-way delay (a round waits for the
+    slowest certificate under [All_or_timeout]): [stagger_ms = 3 *
+    max_one_way_ms / num_dags], so the lanes' rounds end evenly spaced and
+    the merge never waits on a lane in phase with another. *)
+
 val with_name : t -> string -> t
 val without_signature_checks : t -> t
 (** For large benchmark sweeps; tests keep verification on. *)
@@ -61,12 +68,13 @@ val round_timeout : t -> float -> t
 (** Replace the wait-policy timeout, keeping the policy's shape. *)
 
 val with_checkpoint_interval : t -> int -> t
-(** Enable checkpointing every [interval] committed anchors (0 disables). *)
+(** Enable checkpointing with boundaries at least [interval] committed
+    anchors apart (0 disables).
+    @raise Invalid_argument when [interval < 0]. *)
 
 val effective_checkpoint_interval : t -> int
-(** The configured interval rounded up to a multiple of [num_dags], so a
-    checkpoint boundary in the merged (Alg. 3) sequence corresponds to a
-    whole number of segments in every lane. 0 when disabled. *)
+(** [checkpoint_interval], 0 when negative. Kept only because perfbench
+    calls it; in-repo code reads the field. *)
 
 val instance_config : t -> replica:int -> dag_id:int -> Shoalpp_dag.Instance.config
 val driver_config : t -> dag_id:int -> Shoalpp_consensus.Driver.config

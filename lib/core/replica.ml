@@ -74,11 +74,17 @@ type boundary = {
    protocol WAL would perturb the group-commit timing every vote/proposal
    persist depends on. *)
 type ck_mgr = {
-  ck_interval : int; (* effective interval: > 0, multiple of num_dags *)
+  ck_interval : int; (* minimum merged segments between two boundaries, > 0 *)
   ck_wal : Wal.t; (* the two newest certified checkpoints; retains payloads *)
   mutable ck_state : Digest32.t; (* running commit-stream digest *)
-  ck_lane_latest : (int * string) option array; (* (anchor round, resume) per lane *)
-  ck_pending : (int, boundary) Hashtbl.t; (* boundary seq above [ck_latest] -> state *)
+  mutable ck_last : int; (* seq of the latest boundary; -1 before the first *)
+  mutable ck_reached : int; (* boundaries recorded since [create] *)
+  ck_lane_latest : (int * string) option array;
+      (* per lane: (anchor round, resume) of its last merged segment, None
+         when that segment carried no snapshot *)
+  ck_pending : (int, boundary) Hashtbl.t;
+      (* seq above [ck_latest] -> state: a boundary we recorded, or a seq
+         the merge has not reached yet *)
   mutable ck_latest : Checkpoint.t option; (* newest certified checkpoint *)
   mutable ck_main_marks : int list; (* shared-WAL rotation marks (no lane_env) *)
 }
@@ -93,7 +99,10 @@ type t = {
   mutable lanes : dag_lane array;
   on_ordered : (ordered -> unit) option;
   obs : Obs.t;
-  mutable next_lane : int; (* round-robin cursor of Alg. 3 *)
+  mutable next_lane : int; (* round-robin cursor of Alg. 3: whose turn it is *)
+  mutable turn_round : int; (* anchor round of the turn under way; -1 = not started *)
+  merge_wait : Telemetry.Histogram.t option array; (* per lane: committed -> ordered, ms *)
+  merge_blocked : Telemetry.counter option array; (* per lane: drain stopped on it *)
   mutable global_seq : int;
   mutable txns_ordered : int;
   mutable requeued : int;
@@ -116,12 +125,14 @@ type t = {
 }
 
 (* --- commit-certified checkpoints (tentpole of the bounded-memory
-   lifecycle): every [ck_interval] merged segments, fold the committed
-   stream into a running digest, form a candidate from the per-lane driver
-   snapshots, vote on its digest over the control plane, and certify on a
-   quorum of matching votes. Only a certified checkpoint authorizes WAL
-   rotation/truncation. All inputs are deterministic functions of the
-   committed prefix, so every correct replica votes for the same digest. *)
+   lifecycle): fold the committed stream into a running digest and, at the
+   first merge turn end at least [ck_interval] segments past the previous
+   boundary where every lane's last merged segment carries a driver
+   snapshot, form a candidate from those snapshots, vote on its digest over
+   the control plane, and certify on a quorum of matching votes. Only a
+   certified checkpoint authorizes WAL rotation/truncation. All inputs are
+   deterministic functions of the committed prefix, so every correct
+   replica votes for the same digest. *)
 
 let ck_fold st ~dag_id ~round ~author =
   Digest32.of_string (Printf.sprintf "%s%d/%d/%d" (Digest32.raw st) dag_id round author)
@@ -234,10 +245,21 @@ let handle_checkpoint_vote t ~ck_seq ~ck_digest ~ck_voter ~ck_signature =
        time: replicas drift by more than a few intervals, and a vote dropped
        here is never re-sent, so a horizon relative only to [global_seq]
        could stall certification (and checkpoint-anchored pruning)
-       cluster-wide. The table stays bounded at [horizon / interval]
-       boundaries of at most [n] votes each. *)
+       cluster-wide. Seqs ahead of the merge are admitted before we know
+       whether they are boundaries, so the table holds at most one entry per
+       seq below the horizon (about [ck_vote_horizon + 4 * interval]
+       entries) of at most [n] votes each; [ck_boundary] drops the entries
+       the merge passed without a boundary. *)
     let horizon = max t.global_seq (latest + 1) + ck_vote_horizon + (4 * m.ck_interval) in
-    if not (ck_seq > latest && ck_seq < horizon && (ck_seq + 1) mod m.ck_interval = 0) then
+    (* Boundaries are known only once the merge reaches them: a seq the
+       merge has passed is admissible only if we recorded a boundary there. *)
+    let boundary_or_ahead =
+      ck_seq >= t.global_seq
+      || match Hashtbl.find_opt m.ck_pending ck_seq with
+         | Some { mine = Some _; _ } -> true
+         | _ -> false
+    in
+    if not (ck_seq > latest && ck_seq < horizon && boundary_or_ahead) then
       Obs.incr t.obs "ck.votes_dropped"
     else if Committee.valid_replica committee ck_voter then begin
       if Validation.checkpoint_vote_signature_ok ~committee ~ck_digest ~ck_voter ~ck_signature
@@ -252,71 +274,105 @@ let handle_checkpoint_vote t ~ck_seq ~ck_digest ~ck_voter ~ck_signature =
       else Obs.incr t.obs "ck.votes_rejected"
     end
 
-let ck_boundary t m ~seq =
+(* Boundary [seq] closes lane [last]'s turn. The candidate lists the lanes
+   in merge turn order ending with [last], so a restore resumes the
+   round-robin on the lane after it. *)
+let ck_boundary t m ~seq ~last =
   Obs.incr t.obs "ck.boundaries";
-  (* The interval is a multiple of the lane count, so by the time the merge
-     reaches a boundary every lane's last segment of the window carried a
-     driver snapshot (snapshot_every = interval / num_dags). *)
-  if Array.for_all Option.is_some m.ck_lane_latest then begin
-    let lanes =
-      Array.to_list
-        (Array.mapi
-           (fun dag_id latest ->
-             match latest with
-             | Some (round, resume) -> { Checkpoint.dag_id; round; resume }
-             | None -> assert false)
-           m.ck_lane_latest)
+  m.ck_last <- seq;
+  m.ck_reached <- m.ck_reached + 1;
+  let k = Array.length m.ck_lane_latest in
+  let lanes =
+    List.init k (fun j ->
+        let dag_id = (last + 1 + j) mod k in
+        match m.ck_lane_latest.(dag_id) with
+        | Some (round, resume) -> { Checkpoint.dag_id; round; resume }
+        | None -> assert false (* [ck_observe] checked every lane *))
+  in
+  let cand = { Checkpoint.seq; lanes; state = m.ck_state } in
+  let digest = Checkpoint.digest cand in
+  (* A boundary a whole vote horizon behind this one is superseded by any
+     later certificate; forgetting it keeps the table bounded even if
+     certification stalls. Entries the merge passed without a boundary of
+     ours can never certify: their votes count as dropped. *)
+  ck_forget m ~upto:(seq - ck_vote_horizon - (4 * m.ck_interval));
+  let passed =
+    Hashtbl.fold
+      (fun s b acc -> if s < seq && Option.is_none b.mine then (s, List.length b.votes) :: acc else acc)
+      m.ck_pending []
+  in
+  List.iter
+    (fun (s, votes) ->
+      Hashtbl.remove m.ck_pending s;
+      Obs.incr ~by:votes t.obs "ck.votes_dropped")
+    passed;
+  Hashtbl.replace m.ck_pending seq { (ck_pending_entry m seq) with mine = Some (cand, digest) };
+  if not t.replaying then begin
+    let kp = Committee.keypair t.cfg.Config.committee t.id in
+    let payload =
+      Types.Checkpoint_vote
+        {
+          ck_seq = seq;
+          ck_digest = digest;
+          ck_voter = t.id;
+          ck_signature = Signer.sign kp (Checkpoint.preimage_of_digest digest);
+        }
     in
-    let cand = { Checkpoint.seq; lanes; state = m.ck_state } in
-    let digest = Checkpoint.digest cand in
-    (* A boundary a whole vote horizon behind this one is superseded by any
-       later certificate; forgetting it keeps the table bounded even if
-       certification stalls. *)
-    ck_forget m ~upto:(seq - ck_vote_horizon - (4 * m.ck_interval));
-    Hashtbl.replace m.ck_pending seq { (ck_pending_entry m seq) with mine = Some (cand, digest) };
-    if not t.replaying then begin
-      let kp = Committee.keypair t.cfg.Config.committee t.id in
-      let payload =
-        Types.Checkpoint_vote
-          {
-            ck_seq = seq;
-            ck_digest = digest;
-            ck_voter = t.id;
-            ck_signature = Signer.sign kp (Checkpoint.preimage_of_digest digest);
-          }
-      in
-      let env = { dag_id = control_dag_id; payload } in
-      Backend.control_broadcast t.backend ~src:t.id ~size:(envelope_size env) env
-    end;
-    (* faster peers' votes may already be buffered *)
-    ck_try_certify t m ~seq
-  end
+    let env = { dag_id = control_dag_id; payload } in
+    Backend.control_broadcast t.backend ~src:t.id ~size:(envelope_size env) env
+  end;
+  (* faster peers' votes may already be buffered *)
+  ck_try_certify t m ~seq
 
 let ck_observe t ~seq (segment : Driver.segment) =
   match t.ck with
   | None -> ()
   | Some m ->
     let anchor = segment.Driver.anchor in
+    let lane = segment.Driver.dag_id in
     m.ck_state <-
-      ck_fold m.ck_state ~dag_id:segment.Driver.dag_id ~round:anchor.Types.ref_round
+      ck_fold m.ck_state ~dag_id:lane ~round:anchor.Types.ref_round
         ~author:anchor.Types.ref_author;
-    (match segment.Driver.resume with
-    | Some blob ->
-      m.ck_lane_latest.(segment.Driver.dag_id) <- Some (anchor.Types.ref_round, blob)
-    | None -> ());
-    if (seq + 1) mod m.ck_interval = 0 then ck_boundary t m ~seq
+    m.ck_lane_latest.(lane) <-
+      Option.map (fun blob -> (anchor.Types.ref_round, blob)) segment.Driver.resume;
+    if
+      segment.Driver.closes_turn
+      && seq - m.ck_last >= m.ck_interval
+      && Array.for_all Option.is_some m.ck_lane_latest
+    then ck_boundary t m ~seq ~last:lane
 
-(* Alg. 3: append exactly one available segment per DAG, cycling; stop at
-   the first DAG whose next segment is not yet available. *)
+let end_turn t =
+  t.next_lane <- (t.next_lane + 1) mod Array.length t.lanes;
+  t.turn_round <- -1
+
+(* Alg. 3 with one lane-round per turn: the lane whose turn it is appends
+   its ready segments while they carry the turn's anchor round. The turn
+   ends after a turn-closing segment, or before a ready segment of another
+   round, and the cursor moves round-robin. Both are functions of the
+   lane's committed sequence alone, so every replica merges identically.
+   Stop when the lane whose turn it is has nothing ready. *)
 let rec drain t =
   if not t.crashed then begin
-    let lane = t.lanes.(t.next_lane) in
-    if not (Queue.is_empty lane.ready) then begin
-      let segment = Queue.pop lane.ready in
+    let lane_id = t.next_lane in
+    let lane = t.lanes.(lane_id) in
+    match Queue.peek_opt lane.ready with
+    | None ->
+      if Array.exists (fun l -> not (Queue.is_empty l.ready)) t.lanes then
+        Obs.incr_c t.merge_blocked.(lane_id)
+    | Some segment when t.turn_round >= 0 && segment.Driver.anchor.Types.ref_round <> t.turn_round
+      ->
+      end_turn t;
+      drain t
+    | Some segment ->
+      ignore (Queue.pop lane.ready);
       let seq = t.global_seq in
       t.global_seq <- t.global_seq + 1;
-      t.next_lane <- (t.next_lane + 1) mod Array.length t.lanes;
+      let round = segment.Driver.anchor.Types.ref_round in
+      if segment.Driver.closes_turn then end_turn t else t.turn_round <- round;
       let ordered_at = Backend.now t.backend in
+      (match t.merge_wait.(lane_id) with
+      | Some h -> Telemetry.observe h (ordered_at -. segment.Driver.committed_at)
+      | None -> ());
       let ntx = ref 0 in
       List.iter
         (fun (cn : Types.certified_node) ->
@@ -332,18 +388,12 @@ let rec drain t =
         (Obs.with_instance t.obs ~instance:segment.Driver.dag_id)
         ~time:ordered_at
         (Trace.Segment_interleaved
-           {
-             global_seq = seq;
-             round = segment.Driver.anchor.Types.ref_round;
-             anchor = segment.Driver.anchor.Types.ref_author;
-             txns = !ntx;
-           });
+           { global_seq = seq; round; anchor = segment.Driver.anchor.Types.ref_author; txns = !ntx });
       ck_observe t ~seq segment;
       (match t.on_ordered with
       | Some f -> f { global_seq = seq; segment; ordered_at }
       | None -> ());
       drain t
-    end
   end
 
 (* Equivocation twin: same round and parent edges, but an empty batch —
@@ -402,8 +452,8 @@ let make_lane t dag_id =
           (fun segment ->
             (* Cross-lane state (ready queues, the round-robin cursor, the
                global sequence) belongs to the merge domain: the segment
-               is enqueued and interleaved there, by sequence, never by
-               arrival order across lanes. *)
+               is enqueued and interleaved there, in each lane's committed
+               order, never by arrival order across lanes. *)
             post_main (fun () ->
                 Queue.push segment ready;
                 drain t));
@@ -575,24 +625,29 @@ let make_lane t dag_id =
    regime where golden determinism is not asserted. *)
 
 (* Rewind the merge and every lane to a certified checkpoint: global
-   sequencing resumes at seq+1 on lane 0 (the interval is a multiple of the
-   lane count, so the boundary seq always lands on the last lane), each
-   driver resumes from its snapshot blob, and each instance's store floor
-   is raised to the driver's restored floor. *)
+   sequencing resumes at seq+1 with a fresh turn on the lane after the
+   boundary's (the candidate lists the lanes in turn order, ending with the
+   boundary's), each driver resumes from its snapshot blob, and each
+   instance's store floor is raised to the driver's restored floor. The
+   blobs are also every lane's last merged snapshot, exactly as at a
+   replica that merged up to the boundary, so later boundaries agree. *)
 let ck_restore_from t m ck =
   m.ck_latest <- Some ck;
   Hashtbl.reset m.ck_pending;
   m.ck_state <- Checkpoint.state ck;
+  m.ck_last <- Checkpoint.seq ck;
   Array.fill m.ck_lane_latest 0 (Array.length m.ck_lane_latest) None;
   t.global_seq <- Checkpoint.seq ck + 1;
   t.base_seq <- t.global_seq;
-  t.next_lane <- 0;
+  t.turn_round <- -1;
   List.iter
     (fun (l : Checkpoint.lane) ->
       if l.Checkpoint.dag_id < Array.length t.lanes then begin
         let lane = t.lanes.(l.Checkpoint.dag_id) in
         let floor = Driver.restore lane.driver l.Checkpoint.resume in
-        if floor > 0 then Instance.gc_upto lane.instance ~round:floor
+        if floor > 0 then Instance.gc_upto lane.instance ~round:floor;
+        m.ck_lane_latest.(l.Checkpoint.dag_id) <- Some (l.Checkpoint.round, l.Checkpoint.resume);
+        t.next_lane <- (l.Checkpoint.dag_id + 1) mod Array.length t.lanes
       end)
     (Checkpoint.lanes ck);
   (* Everything below the restored floors is vouched for by the adopted
@@ -815,6 +870,13 @@ let create ~config ~replica_id ~backend ~mempool ?on_ordered ?on_caught_up ?trac
       on_ordered;
       obs;
       next_lane = 0;
+      turn_round = -1;
+      merge_wait =
+        Array.init config.Config.num_dags (fun i ->
+            Obs.histogram obs (Printf.sprintf "merge.wait_ms.lane%d" i));
+      merge_blocked =
+        Array.init config.Config.num_dags (fun i ->
+            Obs.counter obs (Printf.sprintf "merge.blocked.lane%d" i));
       global_seq = 0;
       txns_ordered = 0;
       requeued = 0;
@@ -823,8 +885,8 @@ let create ~config ~replica_id ~backend ~mempool ?on_ordered ?on_caught_up ?trac
       byzantine;
       replaying = false;
       ck =
-        (let interval = Config.effective_checkpoint_interval config in
-         if interval = 0 then None
+        (let interval = config.Config.checkpoint_interval in
+         if interval <= 0 then None
          else
            Some
              {
@@ -836,6 +898,8 @@ let create ~config ~replica_id ~backend ~mempool ?on_ordered ?on_caught_up ?trac
                  Wal.create ~timers:backend.Backend.timers
                    ~sync_latency_ms:config.Config.wal_sync_ms ~retain:true ();
                ck_state = Digest32.zero;
+               ck_last = -1;
+               ck_reached = 0;
                ck_lane_latest = Array.make config.Config.num_dags None;
                ck_pending = Hashtbl.create 8;
                ck_latest = None;
@@ -934,6 +998,7 @@ let recover ?(wipe = false) t =
   if t.crashed then begin
     t.crashed <- false;
     t.next_lane <- 0;
+    t.turn_round <- -1;
     t.global_seq <- 0;
     t.base_seq <- 0;
     if wipe then Wal.clear t.wal;
@@ -948,6 +1013,7 @@ let recover ?(wipe = false) t =
          from zero (or from the restored checkpoint's state below). *)
       Hashtbl.reset m.ck_pending;
       m.ck_state <- Digest32.zero;
+      m.ck_last <- -1;
       Array.fill m.ck_lane_latest 0 (Array.length m.ck_lane_latest) None
     | None -> ());
     t.lanes <- Array.init t.cfg.Config.num_dags (fun dag_id -> make_lane t dag_id);
@@ -999,6 +1065,7 @@ let pending_segments t = Array.fold_left (fun acc lane -> acc + Queue.length lan
 let base_seq t = t.base_seq
 let catching_up t = t.catching_up
 let latest_checkpoint t = match t.ck with Some m -> m.ck_latest | None -> None
+let checkpoint_boundaries t = match t.ck with Some m -> m.ck_reached | None -> 0
 let checkpoint_wal t = Option.map (fun m -> m.ck_wal) t.ck
 
 let sync_stats t =

@@ -1,14 +1,19 @@
 (** A full Shoal++ replica: [k] staggered certified-DAG instances, each with
     its own embedded-consensus driver, their committed segments interleaved
-    round-robin into one total order (Alg. 3 of the paper).
+    round-robin into one total order (Alg. 3 of the paper), one lane-round
+    per turn: the lane whose turn it is appends its ready segments while
+    they carry one anchor round, until one closes the turn
+    ({!Shoalpp_consensus.Driver.segment.closes_turn}) or the next carries a
+    later round; then the next lane's turn begins.
 
     The same type runs Bullshark and Shoal (and their "More DAGs" variants)
     by preset — see {!Config}.
 
     Invariants:
     - the interleaved total order is a deterministic round-robin function of
-      the per-DAG committed segment sequences (Alg. 3): same segments in,
-      same order out, on every replica;
+      the per-DAG committed segment sequences (Alg. 3): where a turn ends
+      depends only on that lane's sequence, so same segments in, same
+      order out, on every replica;
     - all effects (timers, sends, persistence waits) go through the injected
       {!Shoalpp_backend.Backend} — the replica itself never touches the OS;
     - re-delivering an envelope already processed is harmless (duplicate
@@ -21,10 +26,11 @@
     - pruning (WAL truncation, store GC below a checkpoint) happens only
       under a certificate that passed
       {!Shoalpp_storage.Checkpoint.verify} — never on local state alone;
-    - pending checkpoint boundaries are keyed by boundary seqs above the
-      latest certified checkpoint and hold at most one vote per voter, so a
-      Byzantine voter can neither park votes elsewhere nor stand in for a
-      quorum. *)
+    - pending checkpoint entries are keyed by seqs above the latest
+      certified checkpoint that are either at or beyond the merge position
+      or a boundary this replica recorded, and hold at most one vote per
+      voter, so a Byzantine voter can neither park votes elsewhere nor
+      stand in for a quorum. *)
 
 type envelope = { dag_id : int; payload : Shoalpp_dag.Types.message }
 (** What travels on the wire: one DAG instance's message, tagged. *)
@@ -56,9 +62,9 @@ type lane_env = {
 (** Multicore placement for the realtime node's [--domains] mode: one DAG
     lane per executor domain. The commit interleave stays on the merge
     domain — lanes hand segments over via [le_post_main], and the
-    round-robin merge consumes them by per-lane sequence, so the global
-    order is the same deterministic function of the per-lane segment
-    sequences as in single-domain mode. Without a [lane_env] nothing
+    round-robin merge consumes them in each lane's committed order, so the
+    global order is the same deterministic function of the per-lane
+    segment sequences as in single-domain mode. Without a [lane_env] nothing
     changes: all closures collapse to the single-domain behaviour. *)
 
 type t
@@ -95,21 +101,30 @@ val create :
     replicas. Per-transaction latency is not recorded here: the harness's
     [on_ordered] hook owns it (the runtime's ledger records the [stage.*],
     [latency.e2e] and [dag<k>.*] instruments once per origin commit).
+    The merge records, per lane, [merge.wait_ms.lane<i>] (each segment's
+    committed-to-ordered wait) and [merge.blocked.lane<i>] (times the merge
+    stopped on that lane while another lane had segments ready); neither
+    touches the trace.
 
-    When [config]'s [checkpoint_interval] is positive the replica runs the
-    bounded-memory lifecycle: every effective-interval merged segments it
-    folds the commit stream into a digest, votes on the resulting
-    checkpoint candidate over the control plane, and on a quorum of
-    matching votes certifies it, persists it to a dedicated WAL device
-    that keeps the two newest certificates, and truncates the protocol
-    WAL to the last two checkpoint windows. Each boundary stays pending (our
+    When [config]'s [checkpoint_interval] C is positive the replica runs
+    the bounded-memory lifecycle: it folds the commit stream into a digest
+    and, at the first merge turn end at least C segments past the previous
+    boundary where every lane's last merged segment carries a driver
+    snapshot, votes on the resulting checkpoint candidate (its lanes listed
+    in turn order, ending with the boundary's lane) over the control
+    plane, and on a quorum of matching votes certifies it, persists it to
+    a dedicated WAL device that keeps the two newest certificates, and
+    truncates the protocol WAL to the last two checkpoint windows. Each boundary stays pending (our
     candidate plus the verified votes for it) until it certifies or a
     newer certificate supersedes it, so every boundary certifies however
-    late its votes arrive. Votes are admitted only at boundary seqs above
-    the latest certified checkpoint and below a fixed horizon; the rest
+    late its votes arrive. Votes are admitted only for seqs above the
+    latest certified checkpoint, below a fixed horizon, and either not yet
+    reached by the merge or a boundary we recorded; an admitted seq the
+    merge passes without a boundary is dropped at the next boundary. Both
     count under [ck.votes_dropped] (bad signatures under
     [ck.votes_rejected]). [ck.boundaries] and [ck.certified] count the
-    boundaries reached and certified. [on_caught_up] fires each time a
+    boundaries reached and certified ({!checkpoint_boundaries} per
+    replica). [on_caught_up] fires each time a
     {!recover} finishes — synchronously when recovery is purely local,
     or once peer catch-up sync completes on every lane.
 
@@ -161,6 +176,10 @@ val catching_up : t -> bool
 
 val latest_checkpoint : t -> Shoalpp_storage.Checkpoint.t option
 (** Newest certified checkpoint this replica holds, if any. *)
+
+val checkpoint_boundaries : t -> int
+(** Checkpoint boundaries this replica recorded since {!create} (0 with
+    checkpointing off); the cluster-wide sum is [ck.boundaries]. *)
 
 val checkpoint_wal : t -> Shoalpp_storage.Wal.t option
 (** The dedicated certified-checkpoint WAL device ([Some] iff

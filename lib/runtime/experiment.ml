@@ -112,18 +112,6 @@ let make_topology = function
   | Uniform delay_ms -> Topology.uniform ~delay_ms
   | Clique (regions, one_way_ms) -> Topology.clique ~regions ~one_way_ms
 
-let median_one_way topology =
-  let k = Topology.num_regions topology in
-  let delays = ref [] in
-  for i = 0 to k - 1 do
-    for j = 0 to k - 1 do
-      if i <> j then delays := Topology.one_way_ms topology i j :: !delays
-    done
-  done;
-  match List.sort compare !delays with
-  | [] -> Topology.one_way_ms topology 0 0
-  | l -> List.nth l (List.length l / 2)
-
 let fault_of params =
   let fault = Fault_schedule.none in
   let fault =
@@ -165,11 +153,14 @@ let dag_config system params =
   let base =
     match params.round_timeout_ms with Some ms -> Config.round_timeout base ms | None -> base
   in
-  let topology = make_topology params.topology in
-  let stagger =
-    match params.stagger_ms with Some s -> s | None -> median_one_way topology
+  let base =
+    match params.stagger_ms with
+    | Some s -> { base with Config.stagger_ms = s }
+    | None ->
+      Config.with_stagger_for
+        ~max_one_way_ms:(Topology.max_one_way_ms (make_topology params.topology))
+        base
   in
-  let base = { base with Config.stagger_ms = stagger } in
   let base = Config.with_checkpoint_interval base params.checkpoint_interval in
   if params.verify_signatures then base else Config.without_signature_checks base
 

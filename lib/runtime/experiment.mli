@@ -50,7 +50,10 @@ type params = {
       (** (replica count, rate, from_ms): egress drops on the first k
           replicas from a given time — Fig 8's disruption *)
   round_timeout_ms : float option;
-  stagger_ms : float option;  (** default: the topology's median one-way delay *)
+  stagger_ms : float option;
+      (** default: one round period over the DAG count, the period being
+          three times the topology's largest one-way delay (see
+          {!Shoalpp_core.Config.with_stagger_for}) *)
   num_dags : int option;
   net_config : Shoalpp_sim.Netmodel.config option;
       (** [None] = {!Shoalpp_sim.Netmodel.default_config}. Use
@@ -60,10 +63,9 @@ type params = {
   tx_size : int;
   batch_cap : int;
   checkpoint_interval : int;
-      (** certify a checkpoint (and prune below it) every this many
-          committed anchors; 0 (default) disables the bounded-memory
-          lifecycle. Rounded up to a multiple of the DAG count — see
-          {!Shoalpp_core.Config.effective_checkpoint_interval}. *)
+      (** certify a checkpoint (and prune below it) at least this many
+          committed anchors apart, each at the next merge turn end; 0
+          (default) disables the bounded-memory lifecycle. *)
   seed : int;
   trace : bool;  (** record a typed event trace (see {!outcome.events}) *)
   trace_capacity : int;  (** ring size; only the newest events are retained *)
@@ -96,7 +98,6 @@ type outcome = {
 
 val run : system -> params -> outcome
 val make_topology : topology_spec -> Shoalpp_sim.Topology.t
-val median_one_way : Shoalpp_sim.Topology.t -> float
 val dag_config : system -> params -> Shoalpp_core.Config.t
 (** The concrete configuration a DAG-family system resolves to.
     @raise Invalid_argument for [Jolteon] / [Mysticeti]. *)

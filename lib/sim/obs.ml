@@ -32,3 +32,4 @@ let set t name v =
 (* Cached-handle access for hot paths: [None] when telemetry is off. *)
 let counter t name = Option.map (fun reg -> Telemetry.counter reg name) t.telemetry
 let incr_c ?by c = match c with Some c -> Telemetry.incr ?by c | None -> ()
+let histogram t name = Option.map (fun reg -> Telemetry.histogram reg name) t.telemetry

@@ -34,3 +34,4 @@ val set : t -> string -> float -> unit
 
 val counter : t -> string -> Telemetry.counter option
 val incr_c : ?by:int -> Telemetry.counter option -> unit
+val histogram : t -> string -> Telemetry.Histogram.t option

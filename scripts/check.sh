@@ -115,6 +115,30 @@ else
     || { echo "check failed: ck.boundaries missing from metrics" >&2; exit 1; }
 fi
 
+# Staggered-DAG smoke: the k=3 lanes must pay off end to end. On an n=10
+# clique at 2000 tps, k=3 (lanes one round period / 3 apart, the Alg. 3
+# merge appending one lane-round per turn) must beat k=1 on p50 latency,
+# and no lane may order more than twice another's transactions.
+for k in 1 3; do
+  dune exec bin/shoalpp_sim.exe -- \
+    -n 10 --topology clique:10,50 --load 2000 --duration 8000 --warmup 2000 --dags "$k" \
+    --metrics-out "$out/k$k.metrics.json" > "$out/k$k.out"
+done
+p50_k1=$(sed -n 's/.* latency p50=\([0-9]*\)ms.*/\1/p' "$out/k1.out")
+p50_k3=$(sed -n 's/.* latency p50=\([0-9]*\)ms.*/\1/p' "$out/k3.out")
+[ -n "$p50_k1" ] && [ -n "$p50_k3" ] && [ "$p50_k3" -lt "$p50_k1" ] \
+  || { echo "check failed: k=3 p50 ($p50_k3 ms) not below k=1 p50 ($p50_k1 ms)" >&2; exit 1; }
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$out/k3.metrics.json" <<'EOF' || { echo "check failed: k=3 lane shares not within 2x" >&2; exit 1; }
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+shares = [c[f"dag{i}.txns"] for i in range(3)]
+assert min(shares) > 0 and max(shares) <= 2 * min(shares), f"lane tx shares {shares}"
+print(f"staggered-DAG smoke: lane tx shares {shares}")
+EOF
+fi
+echo "staggered-DAG smoke: p50 k=1 ${p50_k1} ms, k=3 ${p50_k3} ms"
+
 # Real-time node smoke: the same replicas on a wall clock (sans-I/O seam),
 # run in the background with the live admin plane up so /health and
 # /metrics are scraped MID-RUN — the endpoint must serve while consensus is
@@ -156,6 +180,9 @@ for ln in body.splitlines():
         names.add(ln.split("{")[0].split(" ")[0])
 assert any(n.startswith("shoalpp_live_") for n in names), "live gauges missing mid-run"
 assert "shoalpp_commit_fast_direct" in names, "commit counters missing from scrape"
+for lane in range(3):
+    assert f"shoalpp_merge_blocked_lane{lane}" in names, f"merge.blocked.lane{lane} missing from scrape"
+    assert f"shoalpp_merge_wait_ms_lane{lane}_count" in names, f"merge.wait_ms.lane{lane} missing from scrape"
 # Histogram sanity: cumulative buckets closed by le="+Inf" equal to _count.
 buckets, counts = {}, {}
 for ln in body.splitlines():
@@ -425,4 +452,4 @@ else
     || { echo "check failed: BENCH_perf.json has no passing audit" >&2; exit 1; }
 fi
 
-echo "check: build + tests + flake gate + docs + observability/scenario + node + live scrape + trace analysis + multicore + tcp + uds + gcp10 shim + node bench + perf smoke OK"
+echo "check: build + tests + flake gate + docs + observability/scenario + staggered DAGs + node + live scrape + trace analysis + multicore + tcp + uds + gcp10 shim + node bench + perf smoke OK"

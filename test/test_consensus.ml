@@ -300,7 +300,8 @@ type dctx = {
   mutable segments : Driver.segment list; (* newest first *)
 }
 
-let make_driver ?(mode = Anchors.All_eligible) ?(fast = true) ?(reputation = false) () =
+let make_driver ?(mode = Anchors.All_eligible) ?(fast = true) ?(reputation = false) ?obs
+    ?(observe = fun (_ : Driver.t) (_ : Driver.segment) -> ()) () =
   let store = Store.create ~n:4 ~genesis_digest:committee.Committee.genesis in
   let ctx = ref None in
   let cfg =
@@ -312,7 +313,7 @@ let make_driver ?(mode = Anchors.All_eligible) ?(fast = true) ?(reputation = fal
     }
   in
   let driver =
-    Driver.create cfg
+    Driver.create ?obs cfg
       {
         Driver.now = (fun () -> 0.0);
         cert_ref =
@@ -323,7 +324,11 @@ let make_driver ?(mode = Anchors.All_eligible) ?(fast = true) ?(reputation = fal
         request_fetch = (fun _ -> ());
         on_segment =
           (fun s ->
-            match !ctx with Some c -> c.segments <- s :: c.segments | None -> ());
+            match !ctx with
+            | Some c ->
+              c.segments <- s :: c.segments;
+              observe c.driver s
+            | None -> ());
         request_gc = (fun ~round:_ -> ());
         direct_guard = None;
       }
@@ -440,6 +445,72 @@ let test_driver_indirect_skip () =
      round-2+ anchors commit; ordering stats reflect at least one skip. *)
   let stats = Driver.stats ctx.driver in
   checkb "skip recorded" true (stats.Driver.skipped_anchors > 0)
+
+(* A silent author's slot must not hold the lane-round open once it has
+   been skipped: the segment before it closes the turn (its author's miss
+   streak is >= 1). Before the first skip it does hold the turn open. The
+   candidate that followed each segment is read off the driver's own event
+   stream: the first later commit or skip of the same anchor round, past
+   the skips the segment itself carried. *)
+let test_driver_silent_slot_closes_turn () =
+  (* Author 2 is silent; round 1's cold-start vector is [3; 0; 1; 2]. *)
+  let trace = Shoalpp_sim.Trace.create ~enabled:true ~capacity:100_000 () in
+  let obs = Shoalpp_sim.Obs.make ~trace ~replica:0 ~instance:0 () in
+  let streaks = ref [] in
+  let observe d (s : Driver.segment) =
+    let rep = Driver.reputation d in
+    streaks := (s.Driver.closes_turn, Array.init 4 (Reputation.miss_streak rep)) :: !streaks
+  in
+  let ctx = make_driver ~reputation:true ~obs ~observe () in
+  let last_round = 24 in
+  let prev = ref [] in
+  for round = 0 to last_round do
+    let parents = if round = 0 then [] else !prev in
+    prev := add_round ctx ~round ~parents ~authors:[ 0; 1; 3 ] ()
+  done;
+  let emitted = Array.of_list (List.rev !streaks) in
+  let events =
+    Array.of_list
+      (List.filter_map
+         (fun (ev : Shoalpp_sim.Trace.event) ->
+           match ev.Shoalpp_sim.Trace.kind with
+           | Shoalpp_sim.Trace.Segment_committed { round; anchor; _ } -> Some (`Seg, round, anchor)
+           | Shoalpp_sim.Trace.Anchor_skipped { round; anchor } -> Some (`Skip, round, anchor)
+           | _ -> None)
+         (Shoalpp_sim.Trace.events trace))
+  in
+  let next_candidate i round =
+    let j = ref (i + 1) in
+    while !j < Array.length events && (match events.(!j) with `Skip, _, _ -> true | _ -> false) do
+      incr j
+    done;
+    let found = ref None in
+    while !found = None && !j < Array.length events do
+      (match events.(!j) with _, r, a when r = round -> found := Some a | _ -> ());
+      incr j
+    done;
+    !found
+  in
+  let seg = ref 0 and held = ref 0 and flagged_by_streak = ref 0 in
+  Array.iteri
+    (fun i (kind, round, anchor) ->
+      if kind = `Seg then begin
+        let closes, streak = emitted.(!seg) in
+        incr seg;
+        if round <= last_round - 4 then begin
+          let next = next_candidate i round in
+          let expected = match next with None -> true | Some a -> streak.(a) >= 1 in
+          checkb (Printf.sprintf "segment (%d, %d) closes_turn" round anchor) expected closes;
+          match next with
+          | Some 2 when closes -> incr flagged_by_streak
+          | Some 2 -> incr held
+          | _ -> ()
+        end
+      end)
+    events;
+  checki "one flag per segment" (Array.length emitted) !seg;
+  checkb "the silent slot held a turn open before its first skip" true (!held >= 1);
+  checkb "and closed the turn once skipped" true (!flagged_by_streak >= 1)
 
 let test_driver_two_replicas_agree () =
   (* Replay the same DAG into two drivers with different notify timings:
@@ -565,6 +636,7 @@ let suite =
         Alcotest.test_case "direct commit" `Quick test_driver_direct_commit_without_fast;
         Alcotest.test_case "direct needs f+1" `Quick test_driver_direct_needs_weak_quorum;
         Alcotest.test_case "indirect skip" `Quick test_driver_indirect_skip;
+        Alcotest.test_case "silent slot closes the turn" `Quick test_driver_silent_slot_closes_turn;
         Alcotest.test_case "replicas agree" `Quick test_driver_two_replicas_agree;
         Alcotest.test_case "bullshark mode" `Quick test_driver_bullshark_mode;
         Alcotest.test_case "gc requested" `Quick test_driver_gc_requested;

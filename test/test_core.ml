@@ -14,6 +14,7 @@ module Committee = Shoalpp_dag.Committee
 module Instance = Shoalpp_dag.Instance
 module Anchors = Shoalpp_consensus.Anchors
 module Driver = Shoalpp_consensus.Driver
+module Types = Shoalpp_dag.Types
 module Topology = Shoalpp_sim.Topology
 module Fault_schedule = Shoalpp_sim.Fault_schedule
 
@@ -35,6 +36,34 @@ let run_small ?protocol ?load ?fault ~duration () =
   let c = Cluster.create (small_setup ?protocol ?load ?fault ()) in
   Cluster.run c ~duration_ms:duration;
   c
+
+(* The Alg. 3 turn invariant over a global log of (lane, anchor round)
+   pairs, for k >= 2 (consecutive turns are then on different lanes, so a
+   turn is a maximal run of one lane): turns cycle through lanes 0..k-1
+   starting at [first], each turn holds one anchor round, and a lane's
+   rounds never regress. *)
+let check_turns ?(first = 0) ~label ~k log =
+  if k < 2 then invalid_arg "check_turns: turns are visible in the log only for k >= 2";
+  let rec turns acc = function
+    | [] -> List.rev acc
+    | (d, r) :: rest -> (
+      match acc with
+      | (d', rounds) :: acc' when d' = d -> turns ((d, r :: rounds) :: acc') rest
+      | _ -> turns ((d, [ r ]) :: acc) rest)
+  in
+  List.iteri
+    (fun j (d, rounds) ->
+      checki (Printf.sprintf "%s: turn %d is lane %d" label j ((first + j) mod k)) ((first + j) mod k) d;
+      checki (Printf.sprintf "%s: turn %d holds one anchor round" label j) 1
+        (List.length (List.sort_uniq Int.compare rounds)))
+    (turns [] log);
+  let last_round = Array.make k (-1) in
+  List.iter
+    (fun (d, r) ->
+      checkb (Printf.sprintf "%s: lane %d rounds never regress (%d after %d)" label d r last_round.(d))
+        true (r >= last_round.(d));
+      last_round.(d) <- r)
+    log
 
 (* ------------------------------------------------------------------ *)
 (* Config presets *)
@@ -130,7 +159,9 @@ let test_multi_dag_interleave_round_robin () =
   ignore !seen
 
 let test_replica_on_ordered_round_robin_dags () =
-  (* Direct observer: dag ids in the global log must rotate 0,1,2,0,1,2... *)
+  (* Direct observer: the global log is a sequence of turns, one per lane
+     in round-robin order, each turn one lane-round (Alg. 3 with a
+     lane-round as the interleave unit). *)
   let engine = Shoalpp_sim.Engine.create () in
   let topology = Topology.clique ~regions:4 ~one_way_ms:15.0 in
   let assignment = Topology.assign_round_robin topology ~n:4 in
@@ -141,12 +172,13 @@ let test_replica_on_ordered_round_robin_dags () =
   let world = Shoalpp_backend.Backend_sim.of_net net in
   let protocol = { (Config.shoalpp ~committee) with Config.stagger_ms = 15.0 } in
   let mempools = Array.init 4 (fun _ -> Shoalpp_workload.Mempool.create ()) in
-  let dag_ids = ref [] in
+  let log = ref [] in
   let replicas =
     Array.init 4 (fun replica_id ->
         let on_ordered (o : Replica.ordered) =
+          let s = o.Replica.segment in
           if replica_id = 0 then
-            dag_ids := o.Replica.segment.Driver.dag_id :: !dag_ids
+            log := (s.Driver.dag_id, s.Driver.anchor.Types.ref_round, s.Driver.closes_turn) :: !log
         in
         Replica.create ~config:protocol ~replica_id
           ~backend:(Shoalpp_backend.Backend_sim.backend world)
@@ -155,11 +187,23 @@ let test_replica_on_ordered_round_robin_dags () =
   in
   Array.iter Replica.start replicas;
   Shoalpp_sim.Engine.run ~until:3_000.0 engine;
-  let ids = List.rev !dag_ids in
-  checkb "log nonempty" true (List.length ids > 10);
-  List.iteri
-    (fun i dag -> checki (Printf.sprintf "position %d" i) (i mod 3) dag)
-    ids
+  let log = List.rev !log in
+  checkb "log nonempty" true (List.length log > 10);
+  check_turns ~label:"replica 0" ~k:3 (List.map (fun (d, r, _) -> (d, r)) log);
+  (* Within a turn only its last segment may close it; a turn that ends
+     unclosed ends because its lane's next segment carries a later round. *)
+  let rec walk = function
+    | (d, r, closes) :: ((d', _, _) :: _ as rest) ->
+      if d = d' then checkb (Printf.sprintf "lane %d round %d: turn continues only unclosed" d r) false closes
+      else if not closes then
+        checkb (Printf.sprintf "lane %d round %d: unclosed turn ends on a round change" d r) true
+          (match List.find_opt (fun (d'', _, _) -> d'' = d) rest with
+          | Some (_, r'', _) -> r'' > r
+          | None -> true);
+      walk rest
+    | _ -> ()
+  in
+  walk log
 
 let test_interleaved_log_lengths_match () =
   let c = run_small ~duration:6_000.0 () in

@@ -248,8 +248,14 @@ let test_reader_list_bound () =
 let test_experiment_helpers () =
   let t = E.make_topology (E.Clique (4, 30.0)) in
   checkf "clique delay" 30.0 (Topology.one_way_ms t 0 1);
-  let m = E.median_one_way (Topology.uniform ~delay_ms:42.0) in
-  checkf "uniform median" 42.0 m;
+  (* Default stagger: one round period (3 x the largest one-way delay)
+     over the lane count. *)
+  let stagger topology system =
+    (E.dag_config system { E.default_params with E.topology; n = 4 }).Shoalpp_core.Config.stagger_ms
+  in
+  checkf "uniform stagger, k=3" 42.0 (stagger (E.Uniform 42.0) E.Shoalpp);
+  checkf "gcp10 stagger, k=3" 158.5 (stagger E.Gcp10 E.Shoalpp);
+  checkf "gcp10 stagger, k=1" 475.5 (stagger E.Gcp10 E.Shoalpp_more_faster_anchors);
   checki "all dag systems listed" 7 (List.length E.all_dag_systems);
   List.iter
     (fun s -> checkb "has name" true (String.length (E.system_name s) > 0))

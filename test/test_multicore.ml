@@ -12,14 +12,14 @@
      runs with the same seed, one at [--domains 1] and one at
      [--domains 4], commit byte-identical segment sequences up to the
      shorter run's length — the commit interleave is a deterministic
-     round-robin merge by per-lane sequence number, never completion or
-     arrival order;
+     round-robin merge of whole lane-rounds by per-lane sequence, never
+     completion or arrival order;
 
    - the same claim under a fault: with one replica crashed from birth
      (n = 4 tolerates f = 1) both domain counts still make progress,
      pass the safety audit, and preserve the structural merge invariant
-     (position [p] of every log holds a lane-[p mod k] segment with
-     strictly increasing rounds per lane). Cross-run byte equality is
+     (turns cycle through the lanes, each turn one lane-round, and a
+     lane's rounds never regress). Cross-run byte equality is
      not asserted here: which rounds time out under a fault is
      wall-clock-dependent by design;
 
@@ -249,21 +249,8 @@ let run_node ~domains ?(crash = false) ?timeout_ms ?(duration_ms = 1_200.0) ~see
    order follows the DAG's round order). True at any domain count and
    under faults — the merge is by per-lane sequence number, so arrival
    timing can stall it but never reorder it. *)
-let check_round_robin_merge ~label ~k ids =
-  List.iteri
-    (fun p (dag, _, _) ->
-      checki (Printf.sprintf "%s: position %d is lane %d" label p (p mod k)) (p mod k) dag)
-    ids;
-  let last_round = Array.make k (-1) in
-  List.iter
-    (fun (dag, round, _) ->
-      checkb
-        (Printf.sprintf "%s: lane %d rounds never regress (%d after %d)" label dag round
-           last_round.(dag))
-        true
-        (round >= last_round.(dag));
-      last_round.(dag) <- round)
-    ids
+let check_turns ~label ~k ids =
+  Test_core.check_turns ~label ~k (List.map (fun (dag, round, _) -> (dag, round)) ids)
 
 let test_golden_domains_1_vs_4 () =
   let node1, audit1, k = run_node ~domains:1 ~seed:11 () in
@@ -274,8 +261,8 @@ let test_golden_domains_1_vs_4 () =
   checki "domains=4 no duplicates" 0 audit4.Commit_log.duplicate_orders;
   let ids1 = Node.ordered_ids node1 ~replica:0 in
   let ids4 = Node.ordered_ids node4 ~replica:0 in
-  check_round_robin_merge ~label:"domains=1" ~k ids1;
-  check_round_robin_merge ~label:"domains=4" ~k ids4;
+  check_turns ~label:"domains=1" ~k ids1;
+  check_turns ~label:"domains=4" ~k ids4;
   let common = min (List.length ids1) (List.length ids4) in
   (* A 1.2 s fault-free loopback run commits far more than 3 segments per
      lane; a tiny common prefix would make the equality check vacuous. *)
@@ -306,7 +293,7 @@ let test_golden_under_crash_fault () =
       checki (label ^ ": crashed replica ordered nothing") 0
         (List.length (Node.ordered_ids node ~replica:3));
       List.iter
-        (fun r -> check_round_robin_merge ~label:(Printf.sprintf "%s r%d" label r) ~k
+        (fun r -> check_turns ~label:(Printf.sprintf "%s r%d" label r) ~k
              (Node.ordered_ids node ~replica:r))
         [ 0; 1; 2 ])
     [ 1; 4 ]

@@ -328,6 +328,54 @@ let test_deterministic_trace () =
     (Export.metrics_json a.E.report.Report.telemetry)
     (Export.metrics_json b.E.report.Report.telemetry)
 
+(* The merge attribution (per-lane [merge.wait_ms.lane<i>] histograms and
+   [merge.blocked.lane<i>] counters) only records into telemetry: the
+   typed trace of a run is byte-identical with a registry or without. *)
+let test_merge_attribution_trace_neutral () =
+  let module Backend_sim = Shoalpp_backend.Backend_sim in
+  let module Topology = Shoalpp_sim.Topology in
+  let module Replica = Shoalpp_core.Replica in
+  let module Config = Shoalpp_core.Config in
+  let committee = Shoalpp_dag.Committee.make ~n:4 ~cluster_seed:3 () in
+  let protocol = Config.without_signature_checks (Config.shoalpp ~committee) in
+  let run telemetry =
+    let topology = Topology.clique ~regions:2 ~one_way_ms:20.0 in
+    let world =
+      Backend_sim.make ~topology ~assignment:(Topology.assign_round_robin topology ~n:4)
+        ~fault:Shoalpp_sim.Fault_schedule.none ~config:Backend_sim.default_net_config ~seed:3 ()
+    in
+    let trace = Trace.create ~enabled:true ~capacity:200_000 () in
+    let replicas =
+      Array.init 4 (fun replica_id ->
+          Replica.create ~config:protocol ~replica_id ~backend:(Backend_sim.backend world)
+            ~mempool:(Shoalpp_workload.Mempool.create ()) ~trace ?telemetry ())
+    in
+    Array.iter Replica.start replicas;
+    Backend_sim.run ~until:3_000.0 world;
+    (Export.jsonl_of_events (Trace.events trace), replicas)
+  in
+  let telemetry = Telemetry.create () in
+  let with_metrics, replicas = run (Some telemetry) in
+  let without, _ = run None in
+  checkb "trace byte-identical with merge metrics on" true (with_metrics = without);
+  let snap = Telemetry.snapshot telemetry in
+  let merged = Array.fold_left (fun acc r -> acc + Replica.log_length r) 0 replicas in
+  let waits =
+    List.fold_left
+      (fun acc lane ->
+        match Telemetry.snap_histogram snap (Printf.sprintf "merge.wait_ms.lane%d" lane) with
+        | Some h -> acc + h.Telemetry.hs_count
+        | None -> Alcotest.failf "merge.wait_ms.lane%d missing" lane)
+      0 [ 0; 1; 2 ]
+  in
+  checkb "segments merged" true (merged > 0);
+  checki "one merge wait per merged segment" merged waits;
+  List.iter
+    (fun lane ->
+      let name = Printf.sprintf "merge.blocked.lane%d" lane in
+      checkb (name ^ " registered") true (List.mem_assoc name snap.Telemetry.snap_counters))
+    [ 0; 1; 2 ]
+
 let test_baseline_telemetry () =
   Shoalpp_baselines.Register.register ();
   let o = E.run E.Jolteon failure_free_params in
@@ -372,5 +420,7 @@ let suite =
           test_trace_events_exported_roundtrip;
         Alcotest.test_case "trace and metrics deterministic" `Quick test_deterministic_trace;
         Alcotest.test_case "baseline telemetry hooks" `Quick test_baseline_telemetry;
+        Alcotest.test_case "merge attribution is trace-neutral" `Quick
+          test_merge_attribution_trace_neutral;
       ] );
   ]

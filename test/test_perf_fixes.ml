@@ -217,7 +217,9 @@ let test_skip_to_elides_schedule_prefix () =
 (* Golden determinism: for a fixed seed, a full cluster run must produce a
    byte-identical trace (commit sequence included), rule mix and audit.
    The digests below were captured before the hot-path optimizations; the
-   optimizations must not move them. *)
+   optimizations must not move them. The shoal++ one was re-captured for
+   the lane-round Alg. 3 merge and the round-period stagger (same constant
+   as test_backend). *)
 
 let golden_digest system =
   Shoalpp_baselines.Register.register ();
@@ -244,7 +246,7 @@ let golden_digest system =
   Shoalpp_crypto.Sha256.to_hex
     (Shoalpp_crypto.Sha256.digest_string (Export.jsonl_of_events o.E.events ^ "\n" ^ summary))
 
-let golden = [ ("shoal++", E.Shoalpp, "80b8a19140a933935f53514982a7f09980e71ab01771b99ee0c3455b56cd268d"); ("jolteon", E.Jolteon, "2a5c05b857fd76d4c69cb435246f01d94b1cd9068b56808e11bc7991646f01f6"); ("mysticeti", E.Mysticeti, "c2dc2dda8eeb7a9e265243ef23ca96245e446352a399bb63c347d4308e450efe") ]
+let golden = [ ("shoal++", E.Shoalpp, "fa49521eafde6b1c69feababd55c85588e0d62ee19a9023015ec8c7c837f4736"); ("jolteon", E.Jolteon, "2a5c05b857fd76d4c69cb435246f01d94b1cd9068b56808e11bc7991646f01f6"); ("mysticeti", E.Mysticeti, "c2dc2dda8eeb7a9e265243ef23ca96245e446352a399bb63c347d4308e450efe") ]
 
 let test_golden_cluster_digests () =
   List.iter

@@ -370,6 +370,83 @@ let test_checkpointed_crash_recover () =
   in
   checkb "peers served the requests" true (served >= requests)
 
+(* Boundaries fall on merge turn ends, so a checkpoint may end on any
+   lane. A replica restored from one that ends on lane 0 or 1 must resume
+   the round-robin on the lane after it, with no turn under way, go on
+   ordering exactly what its peers ordered, and agree with them on later
+   boundaries. *)
+let test_restore_from_mid_cycle_boundary () =
+  let committee = Committee.make ~n:4 ~cluster_seed:9 () in
+  let protocol =
+    Config.with_checkpoint_interval
+      (Config.without_signature_checks (Config.shoalpp ~committee))
+      4
+  in
+  let trace = Trace.create ~enabled:true ~capacity:2_000_000 () in
+  let setup =
+    {
+      (Cluster.default_setup ~protocol) with
+      Cluster.topology = Shoalpp_sim.Topology.clique ~regions:2 ~one_way_ms:20.0;
+      scenario = Faults.crash_recover ~count:1 ~at:3_000.0 ~recover_at:8_000.0 ();
+      load_tps = 300.0;
+      seed = 1;
+      trace = Some trace;
+    }
+  in
+  let cluster = Cluster.create setup in
+  Cluster.run cluster ~duration_ms:14_000.0;
+  let audit = Cluster.audit cluster in
+  checkb "prefixes consistent" true audit.Commit_log.consistent_prefixes;
+  checki "no duplicate orders" 0 audit.Commit_log.duplicate_orders;
+  checkb "recovery prefix ok" true audit.Commit_log.recovery_prefix_ok;
+  let base = Replica.base_seq (Cluster.replicas cluster).(3) in
+  checkb "restarted from a checkpoint" true (base > 0);
+  (* (lane, round, anchor) per (replica, seq); the restarted replica's
+     pre-crash entries are overwritten by its post-restart ones. *)
+  let at = Hashtbl.create 4096 in
+  List.iter
+    (fun (ev : Trace.event) ->
+      match ev.Trace.kind with
+      | Trace.Segment_interleaved { global_seq; round; anchor; _ } ->
+        Hashtbl.replace at (ev.Trace.replica, global_seq) (ev.Trace.instance, round, anchor)
+      | _ -> ())
+    (Trace.events trace);
+  let lane_of r seq = match Hashtbl.find_opt at (r, seq) with Some (l, _, _) -> l | None -> -1 in
+  let boundary_lane = lane_of 0 (base - 1) in
+  checkb (Printf.sprintf "boundary ends on lane %d, not the last" boundary_lane) true
+    (boundary_lane >= 0 && boundary_lane < 2);
+  checki "restored merge resumes on the next lane" ((boundary_lane + 1) mod 3) (lane_of 3 base);
+  let continued = ref 0 in
+  let rec compare seq =
+    match (Hashtbl.find_opt at (3, seq), Hashtbl.find_opt at (0, seq)) with
+    | Some mine, Some peer ->
+      if mine <> peer then Alcotest.failf "seq %d differs from replica 0" seq;
+      incr continued;
+      compare (seq + 1)
+    | _ -> ()
+  in
+  compare base;
+  checkb (Printf.sprintf "restored log continued (%d segments)" !continued) true (!continued > 100);
+  (* A lane-round can reach C = 4 segments, so the next boundary may come
+     before every lane merged again: the restored per-lane snapshots must
+     place it where the peers do. Replica 3 then certifies every boundary
+     replica 0 certified from its restart on (bar one at the run's end). *)
+  let certified r =
+    List.filter_map
+      (fun (ev : Trace.event) ->
+        match ev.Trace.kind with
+        | Trace.Checkpoint_certified { seq; _ } when ev.Trace.replica = r && seq >= base -> Some seq
+        | _ -> None)
+      (Trace.events trace)
+  in
+  let mine = certified 3 and peer = certified 0 in
+  let missed = List.filter (fun seq -> not (List.mem seq mine)) peer in
+  checkb
+    (Printf.sprintf "replica 3 certified %d boundaries, missed %d of replica 0's %d"
+       (List.length mine) (List.length missed) (List.length peer))
+    true
+    (List.length peer > 10 && List.length missed <= 1)
+
 (* ------------------------------------------------------------------ *)
 (* Golden determinism: the ordered commit stream is byte-identical with
    checkpointing/pruning on vs off at the same seed.                   *)
@@ -428,31 +505,45 @@ let test_every_boundary_certifies () =
       topology = E.Gcp10;
       verify_signatures = false;
       checkpoint_interval = interval;
-      trace = true;
-      trace_capacity = 2_000_000;
     }
   in
-  let r = E.run E.Shoalpp p in
-  checkb "audit passes" true r.E.audit_ok;
-  let boundaries = Array.make p.E.n 0 and certified = Array.make p.E.n 0 in
+  (* [E.run]'s cluster, kept to read each replica's boundary count. *)
+  let trace = Trace.create ~enabled:true ~capacity:2_000_000 () in
+  let setup =
+    {
+      (Cluster.default_setup ~protocol:(E.dag_config E.Shoalpp p)) with
+      Cluster.topology = E.make_topology p.E.topology;
+      load_tps = p.E.load_tps;
+      warmup_ms = p.E.warmup_ms;
+      seed = p.E.seed;
+      trace = Some trace;
+    }
+  in
+  let cluster = Cluster.create setup in
+  Cluster.run cluster ~duration_ms:p.E.duration_ms;
+  let audit = Cluster.audit cluster in
+  checkb "audit passes" true
+    (audit.Commit_log.consistent_prefixes && audit.Commit_log.duplicate_orders = 0);
+  let certified = Array.make p.E.n 0 in
   List.iter
     (fun (ev : Trace.event) ->
       match ev.Trace.kind with
-      | Trace.Segment_interleaved { global_seq; _ } when (global_seq + 1) mod interval = 0 ->
-        boundaries.(ev.Trace.replica) <- boundaries.(ev.Trace.replica) + 1
       | Trace.Checkpoint_certified _ ->
         certified.(ev.Trace.replica) <- certified.(ev.Trace.replica) + 1
       | _ -> ())
-    r.E.events;
+    (Trace.events trace);
+  let boundaries = Array.map Replica.checkpoint_boundaries (Cluster.replicas cluster) in
+  (* Only a replica's last boundary may still wait for its votes when the
+     run ends. *)
   Array.iteri
     (fun i b ->
-      checkb (Printf.sprintf "replica %d reached boundaries" i) true (b >= 10);
+      checkb (Printf.sprintf "replica %d reached %d boundaries" i b) true (b >= 10);
       checkb
         (Printf.sprintf "replica %d certified %d of %d boundaries" i certified.(i) b)
         true
         (certified.(i) >= b - 1))
     boundaries;
-  let snap = r.E.report.Shoalpp_runtime.Report.telemetry in
+  let snap = (Cluster.report cluster ~duration_ms:p.E.duration_ms).Shoalpp_runtime.Report.telemetry in
   checki "ck.boundaries counts every boundary" (Array.fold_left ( + ) 0 boundaries)
     (Telemetry.snap_counter snap "ck.boundaries");
   checki "ck.certified counts every certificate" (Array.fold_left ( + ) 0 certified)
@@ -529,9 +620,27 @@ let test_crafted_checkpoint_votes () =
   let deliver msg = Replica.deliver r ~dag_id:Replica.control_dag_id ~src:1 msg in
   (* Let the checkpoint device's writes sync. *)
   let settle () = Backend_sim.run ~until:(Backend_sim.now world +. 50.0) world in
-  let first = interval - 1 and second = (2 * interval) - 1 in
-  (* Correctly signed quorums at a non-boundary seq and beyond the horizon
-     are dropped and counted. *)
+  (* Boundaries are merge turn ends at least [interval] segments apart:
+     read their seqs off the votes replica 1 cast. *)
+  let boundaries =
+    List.sort_uniq Int.compare
+      (List.filter_map
+         (function
+           | Types.Checkpoint_vote { ck_seq; ck_voter = 1; _ } -> Some ck_seq
+           | _ -> None)
+         !captured)
+  in
+  let first, second, third =
+    match boundaries with
+    | a :: b :: c :: _ -> (a, b, c)
+    | _ -> Alcotest.fail "expected three boundaries"
+  in
+  checkb "boundaries at least an interval apart" true
+    (first >= interval - 1 && second - first >= interval && third - second >= interval);
+  (* Correctly signed quorums at a non-boundary seq the merge has passed,
+     and beyond the horizon, are dropped and counted. *)
+  checkb "first + 1 is a passed non-boundary" true
+    (first + 1 < second && first + 1 < Replica.log_length r);
   for voter = 0 to n - 1 do
     deliver (forged ~seq:(first + 1) ~voter (digest_at first));
     deliver (forged ~seq:((1_000 * interval) - 1) ~voter (digest_at first))
@@ -559,7 +668,6 @@ let test_crafted_checkpoint_votes () =
   deliver (real_vote ~seq:first ~voter:0);
   checki "stale vote dropped" (dropped + 1) (counter "ck.votes_dropped");
   (* A bad signature at an admissible boundary is still rejected. *)
-  let third = (3 * interval) - 1 in
   deliver
     (match forged ~seq:third ~voter:2 (digest_at third) with
     | Types.Checkpoint_vote v -> Types.Checkpoint_vote { v with ck_voter = 3 }
@@ -575,7 +683,27 @@ let test_crafted_checkpoint_votes () =
       (fun blob -> Checkpoint.seq (Checkpoint.decode ~keys:committee.Committee.keys blob))
       (Wal.entries (Option.get (Replica.checkpoint_wal r)))
   in
-  Alcotest.(check (list int)) "device holds the two newest" [ second; third ] kept
+  Alcotest.(check (list int)) "device holds the two newest" [ second; third ] kept;
+  (* A quorum for a seq ahead of the merge is held until the merge passes
+     it; it was no boundary, so its votes are dropped then, uncertified. *)
+  let ahead = Replica.log_length r + 1 in
+  let dropped = counter "ck.votes_dropped" in
+  for voter = 0 to n - 1 do
+    deliver (forged ~seq:ahead ~voter (digest_at third))
+  done;
+  checki "votes ahead of the merge held" dropped (counter "ck.votes_dropped");
+  Backend_sim.run ~until:(Backend_sim.now world +. 2_000.0) world;
+  let own_votes =
+    List.filter_map
+      (function
+        | Types.Checkpoint_vote { ck_seq; ck_voter = 0; _ } -> Some ck_seq
+        | _ -> None)
+      !captured
+  in
+  checkb "that seq was no boundary" false (List.mem ahead own_votes);
+  checkb "the merge passed it to a later boundary" true (List.exists (fun s -> s > ahead) own_votes);
+  checki "held votes dropped once passed" (dropped + n) (counter "ck.votes_dropped");
+  checki "and never certified" 3 (counter "ck.certified")
 
 let suite =
   [
@@ -591,6 +719,7 @@ let suite =
         Alcotest.test_case "sync client O(gap) requests" `Quick test_sync_client_o_gap_requests;
         Alcotest.test_case "sync client rotates on no-progress" `Quick test_sync_client_rotates_on_no_progress;
         Alcotest.test_case "checkpointed crash-recover" `Slow test_checkpointed_crash_recover;
+        Alcotest.test_case "restore from a mid-cycle boundary" `Slow test_restore_from_mid_cycle_boundary;
         Alcotest.test_case "determinism: checkpointing on vs off" `Slow test_golden_determinism_on_vs_off;
         Alcotest.test_case "every boundary certifies" `Slow test_every_boundary_certifies;
         Alcotest.test_case "crafted checkpoint votes" `Quick test_crafted_checkpoint_votes;
