@@ -13,7 +13,7 @@
      dune exec bench/main.exe kdags       # parallel-DAG count ablation
      dune exec bench/main.exe timeouts    # round-timeout ablation
      dune exec bench/main.exe perf        # hot-path sweep -> BENCH_perf.json
-     dune exec bench/main.exe node        # realtime node vs --domains -> BENCH_node.json
+     dune exec bench/main.exe node        # realtime node load ramp x --domains -> BENCH_node.json
      dune exec bench/main.exe net         # sim vs realtime TCP+gcp10 -> BENCH_net.json
      dune exec bench/main.exe mem         # retention vs checkpoint interval -> BENCH_mem.json
      dune exec bench/main.exe micro       # ns/op + words/op, hot path at n=50 -> BENCH_micro.json
@@ -738,63 +738,81 @@ let mem () =
   note "wrote %s\n" out
 
 (* ------------------------------------------------------------------ *)
-(* node: the real-time multicore node, ordered throughput vs --domains,
+(* node: the real-time node's open-loop ramp at each --domains value,
    written to BENCH_node.json. Unlike the simulator sweeps this measures
-   wall-clock behaviour, so the absolute tx/s are machine-dependent; the
-   committed file's machine-independent fields (audit consistency, zero
-   duplicate orders, zero pool exceptions, the swept domain counts and k)
-   are what scripts/check.sh guards. The modeled per-signature
-   verification cost (--verify-delay-us; see Crypto_cost) is what the
-   verify pool parallelizes — with the default 0 the run measures only
-   the seeded HMAC, which underprices real crypto by orders of magnitude
-   and makes the comparison meaningless.
+   wall-clock behaviour on real CPU only, so the absolute tx/s are
+   machine-dependent (the file records [nproc]); the machine-independent
+   fields (audit consistency, zero duplicate orders, zero pool exceptions,
+   the swept domain counts and k) are what scripts/check.sh guards.
 
-   Environment: BENCH_NODE_LOAD (offered tx/s, default 60000),
-   BENCH_NODE_DURATION_S (default 5), BENCH_NODE_VD_US (default 10),
-   BENCH_NODE_DOMAINS (default "1,2,4"), BENCH_NODE_OUT. *)
+   Each point offers a fixed Poisson load for the run's duration and
+   reports, over the post-warmup window, ordered tx/s and commit latency
+   p50/p99, plus the process CPU time per ordered transaction over the
+   whole run. The knee of a domain count is the highest offered load whose
+   ordered rate keeps up (>= 0.95 x offered).
+
+   Environment: BENCH_NODE_LOADS (offered tx/s, default
+   "10000,20000,40000,60000,80000,100000,120000"), BENCH_NODE_DURATION_S
+   (per point, default 5), BENCH_NODE_DOMAINS (default "1,2"),
+   BENCH_NODE_OUT. *)
 
 let node_bench () =
-  section "node: realtime ordered throughput vs domains (wall clock)";
+  section "node: realtime open-loop ramp vs domains (wall clock, real CPU)";
   let module Json = Shoalpp_runtime.Export.Json in
   let module Node = Shoalpp_runtime.Node in
   let module Commit_log = Shoalpp_runtime.Commit_log in
+  let module Metrics = Shoalpp_runtime.Metrics in
+  let module Ledger = Shoalpp_runtime.Ledger in
   let module Config = Shoalpp_core.Config in
   let module Committee = Shoalpp_dag.Committee in
-  let getf name default =
-    match Sys.getenv_opt name with Some s -> float_of_string s | None -> default
+  let module Summary = Shoalpp_support.Stats.Summary in
+  let getl name conv default =
+    match Sys.getenv_opt name with
+    | Some s -> List.map conv (String.split_on_char ',' s)
+    | None -> default
   in
   let n = 4 in
   let seed = 42 in
-  let load = getf "BENCH_NODE_LOAD" 60_000.0 in
-  let duration_ms = 1000.0 *. getf "BENCH_NODE_DURATION_S" 5.0 in
-  let vd_us = getf "BENCH_NODE_VD_US" 10.0 in
-  let domain_counts =
-    match Sys.getenv_opt "BENCH_NODE_DOMAINS" with
-    | Some s -> List.map int_of_string (String.split_on_char ',' s)
-    | None -> [ 1; 2; 4 ]
+  let nproc = Domain.recommended_domain_count () in
+  let loads =
+    getl "BENCH_NODE_LOADS" float_of_string
+      [ 10_000.0; 20_000.0; 40_000.0; 60_000.0; 80_000.0; 100_000.0; 120_000.0 ]
   in
-  let run_one domains =
+  let duration_ms =
+    1000.0
+    *. (match Sys.getenv_opt "BENCH_NODE_DURATION_S" with
+       | Some s -> float_of_string s
+       | None -> 5.0)
+  in
+  let warmup_ms = Float.min 1_000.0 (duration_ms /. 5.0) in
+  let domain_counts = getl "BENCH_NODE_DOMAINS" int_of_string [ 1; 2 ] in
+  let cpu_s () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
+  let run_one ~domains load =
     let committee = Committee.make ~n ~cluster_seed:seed () in
     let protocol = Config.shoalpp ~committee in
     let setup =
-      {
-        (Node.default_setup ~protocol) with
-        Node.load_tps = load;
-        seed;
-        domains;
-        verify_delay_us = vd_us;
-      }
+      { (Node.default_setup ~protocol) with Node.load_tps = load; warmup_ms; seed; domains }
     in
     let node = Node.create setup in
+    let cpu0 = cpu_s () in
     let t0 = Unix.gettimeofday () in
     Node.run node ~duration_ms;
     (* A saturated single-domain loop can overshoot the deadline while it
-       drains; rate over measured elapsed, not nominal duration, so the
+       drains; rate over the measured window, not the nominal one, so the
        overshoot cannot inflate its throughput. *)
     let elapsed_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
+    let cpu = cpu_s () -. cpu0 in
     let report = Node.report node ~duration_ms in
     let audit = Node.audit node in
-    let ordered_tps = float_of_int report.Report.committed /. (elapsed_ms /. 1000.0) in
+    let latency = Metrics.latency (Node.metrics node) in
+    let ordered_tps =
+      float_of_int report.Report.committed /. ((elapsed_ms -. warmup_ms) /. 1000.0)
+    in
+    let p99 = Summary.percentile latency 0.99 in
+    let cpu_us_per_tx = cpu *. 1e6 /. float_of_int (max 1 (Ledger.recorded (Node.ledger node))) in
     let pool_exns =
       match Node.verify_pool node with
       | Some p -> Shoalpp_backend.Verify_pool.work_exceptions p
@@ -805,56 +823,62 @@ let node_bench () =
       && audit.Commit_log.duplicate_orders = 0
       && pool_exns = 0
     in
-    note "domains=%d  %8.0f ordered tx/s  p50 %6.0f ms  elapsed %6.0f ms  audit %s\n" domains
-      ordered_tps report.Report.latency_p50 elapsed_ms
+    note "domains=%d  offered %6.0f  ordered %8.0f tx/s  p50 %6.0f  p99 %6.0f ms  %6.1f cpu us/tx  audit %s\n"
+      domains load ordered_tps report.Report.latency_p50 p99 cpu_us_per_tx
       (if behaviour_ok then "ok" else "FAILED");
-    ( domains,
-      ordered_tps,
+    ( ordered_tps,
       Json.Obj
         [
           ("domains", Json.Int domains);
+          ("nproc", Json.Int nproc);
           ("n", Json.Int n);
           ("k_dags", Json.Int protocol.Config.num_dags);
-          ("load_tps", Json.Float load);
+          ("offered_tps", Json.Float load);
           ("duration_ms", Json.Float duration_ms);
-          ("verify_delay_us", Json.Float vd_us);
+          ("warmup_ms", Json.Float warmup_ms);
           ("seed", Json.Int seed);
           ("elapsed_ms", Json.Float elapsed_ms);
           ("submitted", Json.Int report.Report.submitted);
           ("committed", Json.Int report.Report.committed);
           ("ordered_tps", Json.Float ordered_tps);
           ("latency_p50_ms", Json.Float report.Report.latency_p50);
+          ("latency_p99_ms", Json.Float p99);
+          ("cpu_us_per_tx", Json.Float cpu_us_per_tx);
           ("audit_consistent", Json.Bool audit.Commit_log.consistent_prefixes);
           ("duplicate_orders", Json.Int audit.Commit_log.duplicate_orders);
           ("pool_work_exceptions", Json.Int pool_exns);
           ("behaviour_ok", Json.Bool behaviour_ok);
         ] )
   in
-  let results = List.map run_one domain_counts in
-  let speedup =
-    let base =
-      List.find_map (fun (d, tps, _) -> if d = 1 then Some tps else None) results
-    in
-    let dmax, tmax =
-      List.fold_left (fun (ad, at) (d, t, _) -> if d > ad then (d, t) else (ad, at)) (0, 0.0)
-        results
-    in
-    match base with
-    | Some b when b > 0.0 && dmax > 1 ->
-      note "speedup: %.2fx ordered tx/s at %d domains vs 1\n" (tmax /. b) dmax;
-      [
-        ( "speedup_vs_1",
-          Json.Obj [ ("domains", Json.Int dmax); ("ratio", Json.Float (tmax /. b)) ] );
-      ]
-    | _ -> []
+  let sweeps =
+    List.map
+      (fun domains ->
+        let points = List.map (fun load -> (load, run_one ~domains load)) loads in
+        let knee =
+          List.fold_left
+            (fun acc (load, (ordered, _)) ->
+              if ordered >= 0.95 *. load then Some (Float.max load (Option.value acc ~default:load))
+              else acc)
+            None points
+        in
+        note "domains=%d  knee %s\n" domains
+          (match knee with Some l -> Printf.sprintf "%.0f tx/s" l | None -> "none");
+        ( List.map (fun (_, (_, j)) -> j) points,
+          Json.Obj
+            [
+              ("domains", Json.Int domains);
+              ("knee_tps", match knee with Some l -> Json.Float l | None -> Json.Null);
+            ] ))
+      domain_counts
   in
   let doc =
     Json.Obj
-      ([
-         ("schema", Json.Str "shoalpp-bench-node/1");
-         ("runs", Json.List (List.map (fun (_, _, j) -> j) results));
-       ]
-      @ speedup)
+      [
+        ("schema", Json.Str "shoalpp-bench-node/2");
+        ("nproc", Json.Int nproc);
+        ("runs", Json.List (List.concat_map fst sweeps));
+        ("knees", Json.List (List.map snd sweeps));
+      ]
   in
   let out = Option.value ~default:"BENCH_node.json" (Sys.getenv_opt "BENCH_NODE_OUT") in
   let oc = open_out out in

@@ -111,9 +111,9 @@ let cleanup_uds_dir ~n ~created dir =
   done;
   if created then try Sys.rmdir dir with Sys_error _ -> ()
 
-let run n duration load warmup timeout link_delay seed no_verify domains verify_delay
-    checkpoint_interval restart transport uds_dir tcp_port coalesce_us topology trace_out
-    metrics_out admin_port ledger_tail =
+let run n duration load warmup timeout link_delay seed no_verify domains checkpoint_interval
+    restart transport uds_dir tcp_port coalesce_us topology trace_out metrics_out admin_port
+    ledger_tail =
   (match restart with
   | Some _ when domains > 1 ->
     Printf.eprintf "shoalpp_node: --restart requires --domains 1\n";
@@ -173,7 +173,6 @@ let run n duration load warmup timeout link_delay seed no_verify domains verify_
       delays_ms;
       trace;
       domains = max 1 domains;
-      verify_delay_us = Float.max 0.0 verify_delay;
       retain_wal = Option.is_some restart;
     }
   in
@@ -361,21 +360,6 @@ let cmd =
              work-stealing pool of N worker domains. The commit sequence is identical at any \
              value (merge is by sequence number, never arrival order).")
   in
-  let verify_delay =
-    Arg.(
-      value
-      & opt float 0.0
-      & info [ "verify-delay-us" ]
-          ~doc:
-            "Modeled verification service time per signature checked, microseconds (default \
-             0: just the simulated HMAC's real cost). Charged once per vote/certificate/header \
-             and once per transaction in a proposal's batch — the client-signature term that \
-             scales with throughput. The repo's crypto is a seeded model costing ~1us where \
-             ed25519/BLS cost tens to hundreds; this charges the difference explicitly, like \
-             --link-delay for the network. Paid inline on the event loop at --domains 1 and \
-             on the verify pool's workers at --domains N, so the comparison varies only where \
-             the cost lands.")
-  in
   let checkpoint_interval =
     Arg.(
       value
@@ -481,7 +465,7 @@ let cmd =
        ~doc:"Run a real-time Shoal++ cluster (wall clock, loopback, Unix-domain or TCP sockets)")
     Term.(
       const run $ n $ duration $ load $ warmup $ timeout $ link_delay $ seed $ no_verify
-      $ domains $ verify_delay $ checkpoint_interval $ restart $ transport $ uds_dir
+      $ domains $ checkpoint_interval $ restart $ transport $ uds_dir
       $ tcp_port $ coalesce_us $ topology $ trace_out $ metrics_out $ admin_port
       $ ledger_tail)
 

@@ -82,7 +82,6 @@ let with_dags t k =
 let with_stagger_for ~max_one_way_ms t =
   { t with stagger_ms = 3.0 *. max_one_way_ms /. float_of_int t.num_dags }
 
-let with_name t name = { t with name }
 let without_signature_checks t = { t with verify_signatures = false }
 
 let round_timeout t timeout =

@@ -60,7 +60,6 @@ val with_stagger_for : max_one_way_ms:float -> t -> t
     max_one_way_ms / num_dags], so the lanes' rounds end evenly spaced and
     the merge never waits on a lane in phase with another. *)
 
-val with_name : t -> string -> t
 val without_signature_checks : t -> t
 (** For large benchmark sweeps; tests keep verification on. *)
 

@@ -207,7 +207,7 @@ let ck_install t m ck =
   (* The checkpoint device keeps the two newest certificates: recovery
      restores the newest that verifies, and the other is its fallback. *)
   ignore (Wal.truncate_below m.ck_wal ~seg:(Wal.rotate m.ck_wal - 1));
-  Wal.append m.ck_wal ~size:(Checkpoint.wire_size ck) ~payload:(Checkpoint.encode ck) ignore;
+  Wal.append m.ck_wal ~payload:(Checkpoint.encode ck) ignore;
   Obs.incr t.obs "ck.certified";
   Obs.set t.obs "ck.latest_seq" (float_of_int seq);
   Obs.event t.obs ~time:(Backend.now t.backend)
@@ -574,15 +574,12 @@ let make_lane t dag_id =
              (the voted table was rebuilt before this point, and the muted
              send layer swallows the re-externalized votes). *)
           if t.replaying then cb ()
-          else begin
-            let size = Types.message_size msg in
-            if Wal.retains wal then
-              let payload =
-                String.make 1 (Char.chr (dag_id land 0xff)) ^ Types.encode_message msg
-              in
-              Wal.append wal ~size ~payload cb
-            else Wal.append wal ~size cb
-          end);
+          else if Wal.retains wal then
+            let payload =
+              String.make 1 (Char.chr (dag_id land 0xff)) ^ Types.encode_message msg
+            in
+            Wal.append wal ~payload cb
+          else Wal.append wal cb);
       on_proposal_noted = (fun _node -> Driver.notify (the_driver ()));
       on_certified = (fun _cn -> Driver.notify (the_driver ()));
       on_cert_meta = (fun _ref -> Driver.notify (the_driver ()));
@@ -812,8 +809,7 @@ and ck_adopt t m blob_opt =
          state (its WAL coverage is contiguous with it) and move on. *)
       if Checkpoint.seq ck + 1 > t.global_seq then begin
         ck_restore_from t m ck;
-        Wal.append m.ck_wal ~size:(Checkpoint.wire_size ck) ~payload:(Checkpoint.encode ck)
-          ignore
+        Wal.append m.ck_wal ~payload:(Checkpoint.encode ck) ignore
       end;
       finish_recovery t)
 

@@ -2,8 +2,7 @@
 
     The sealed build environment has no crypto libraries, so the repository
     carries its own implementation. It is used for content digests (node ids,
-    batch digests, Merkle trees) and as the PRF behind the simulated
-    signature scheme.
+    batch digests) and as the PRF behind the simulated signature scheme.
 
     Invariants:
     - matches FIPS 180-4 (checked against standard vectors in tests);

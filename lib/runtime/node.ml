@@ -13,7 +13,6 @@ module Telemetry = Shoalpp_support.Telemetry
 module Obs = Shoalpp_sim.Obs
 module Validation = Shoalpp_dag.Validation
 module Verify_pool = Shoalpp_backend.Verify_pool
-module Crypto_cost = Shoalpp_backend.Crypto_cost
 module Stream = Shoalpp_backend.Stream_transport
 
 type transport = Inproc | Uds of string | Tcp of int
@@ -30,7 +29,6 @@ type setup = {
   delays_ms : float array array option;
   trace : Trace.t option;
   domains : int;
-  verify_delay_us : float;
   retain_wal : bool;  (** keep synced WAL payloads so restart can replay *)
 }
 
@@ -47,7 +45,6 @@ let default_setup ~protocol =
     delays_ms = None;
     trace = None;
     domains = 1;
-    verify_delay_us = 0.0;
     retain_wal = false;
   }
 
@@ -55,15 +52,12 @@ let default_setup ~protocol =
    lane (shared clock origin with the main loop), per-lane-domain
    telemetry registries and trace rings (each touched by exactly one
    domain, merged at report time), and the verify pool whose workers do
-   the signature checks the instances then skip. [mc_rejects] slots are
-   per pool lane; a slot is only written by that lane's (serialized)
-   completion deliveries. *)
+   the signature checks the instances then skip. *)
 type multicore = {
   mc_lane_execs : Realtime.t array;
   mc_lane_telemetry : Telemetry.t array;
   mc_lane_traces : Trace.t array;
   mc_pool : Verify_pool.t;
-  mc_rejects : int array;
 }
 
 type t = {
@@ -118,7 +112,6 @@ let create setup =
           mc_lane_traces =
             Array.init k (fun _ -> Trace.create ~enabled:(Option.is_some setup.trace) ());
           mc_pool = Verify_pool.create ~workers:setup.domains ~lanes:(n * k);
-          mc_rejects = Array.make (n * k) 0;
         }
   in
   (* One delivery rule at every domain count: every transport handler runs
@@ -164,41 +157,6 @@ let create setup =
     | Some d -> Realtime.delayed exec ~delay_ms:(fun ~src ~dst -> d.(src).(dst)) raw
   in
   let transport = if Option.is_none mc then shimmed else post_to_main shimmed in
-  (* Modeled verification service time ({!Crypto_cost}), charged per
-     SIGNATURE rather than per message: one for the header / vote /
-     certificate check, plus one per transaction carried in a proposal's
-     batch — client-signature verification is the term that scales with
-     throughput and cannot be amortized by batching. The single-domain
-     node pays it inline at each delivery — the same place its inline
-     signature checks run — while the multicore node pays it inside the
-     verify-pool job. Identical per-message charge at every domain count,
-     so [--domains] comparisons vary only where the cost is paid. *)
-  let verify_cost_us =
-    if setup.protocol.Config.verify_signatures then setup.verify_delay_us else 0.0
-  in
-  let modeled_cost_us (payload : Types.message) =
-    match payload with
-    | Types.Proposal node ->
-      verify_cost_us
-      *. float_of_int (1 + List.length node.Types.batch.Shoalpp_workload.Batch.txns)
-    | Types.Fetch_response cn ->
-      verify_cost_us
-      *. float_of_int
-           (1 + List.length cn.Types.cn_node.Types.batch.Shoalpp_workload.Batch.txns)
-    | _ -> verify_cost_us
-  in
-  let transport =
-    if verify_cost_us > 0.0 && Option.is_none mc then
-      {
-        transport with
-        Backend.Transport.set_handler =
-          (fun r h ->
-            transport.Backend.Transport.set_handler r (fun ~src env ->
-                Crypto_cost.pay ~us:(modeled_cost_us env.Replica.payload);
-                h ~src env));
-      }
-    else transport
-  in
   let backend = Realtime.backend exec transport in
   let mempools = Array.init n (fun _ -> Mempool.create ()) in
   let metrics = Metrics.create ~warmup_ms:setup.warmup_ms () in
@@ -273,17 +231,17 @@ let create setup =
               else begin
                 let payload = env.Replica.payload in
                 let pool_lane = (rid * k) + dag_id in
+                (* Rejections are counted on the lane's own registry, from
+                   the lane's executor (the registry's only writer), just
+                   as accepted messages are delivered there. *)
                 Verify_pool.submit m.mc_pool ~lane:pool_lane
-                  ~work:(fun () ->
-                    (not verify)
-                    ||
-                    (Crypto_cost.pay ~us:(modeled_cost_us payload);
-                     Validation.signatures_ok ~committee payload))
+                  ~work:(fun () -> (not verify) || Validation.signatures_ok ~committee payload)
                   ~k:(fun ok ->
-                    if ok then
-                      Realtime.post m.mc_lane_execs.(dag_id) (fun () ->
-                          Replica.deliver replica ~dag_id ~src payload)
-                    else m.mc_rejects.(pool_lane) <- m.mc_rejects.(pool_lane) + 1)
+                    Realtime.post m.mc_lane_execs.(dag_id) (fun () ->
+                        if ok then Replica.deliver replica ~dag_id ~src payload
+                        else
+                          Telemetry.incr_named m.mc_lane_telemetry.(dag_id)
+                            "node.verify_rejects"))
               end
             end))
       replicas);

@@ -62,17 +62,9 @@ type setup = {
           domains; the commit interleave stays on the main domain, merged
           by per-lane sequence number, so the global order is the same
           deterministic function of the per-lane segment sequences at any
-          domain count (see docs/CONCURRENCY.md). *)
-  verify_delay_us : float;
-      (** Modeled verification service time per SIGNATURE checked
-          ({!Shoalpp_backend.Crypto_cost}; default 0): one per vote /
-          certificate / header, plus one per transaction in a proposal's
-          batch — the client-signature term that scales with throughput
-          and cannot be amortized by batching. Charged inline on the
-          event loop at [domains = 1] and inside the verify-pool job at
-          [domains > 1] — the same charge at every domain count, so
-          throughput comparisons vary only where it is paid. Ignored when
-          the protocol runs with signature checks off. *)
+          domain count (see docs/CONCURRENCY.md). A message the pool
+          rejects is dropped and counted in its lane's
+          [node.verify_rejects] telemetry counter. *)
   retain_wal : bool;
       (** Keep synced WAL payloads in memory so {!recover_replica} can
           replay them (default false). *)

@@ -39,25 +39,6 @@ let pp_stages fmt snap =
           0.0 0)
     stage_names
 
-let pp_snapshot fmt snap =
-  Format.fprintf fmt "@[<v>commit rules:";
-  List.iter
-    (fun (rule, frac) ->
-      Format.fprintf fmt " %s=%.1f%%" (Anchors.rule_tag rule) (100.0 *. frac))
-    (rule_mix_of_snapshot snap);
-  Format.fprintf fmt "@,";
-  pp_stages fmt snap;
-  if snap.Telemetry.snap_counters <> [] then begin
-    Format.fprintf fmt "@,counters:";
-    List.iter (fun (k, v) -> Format.fprintf fmt "@,  %-28s %d" k v) snap.Telemetry.snap_counters
-  end;
-  List.iter
-    (fun (h : Telemetry.histogram_stats) ->
-      if not (List.exists (fun (_, m) -> m = h.hs_name) stage_names) then
-        Format.fprintf fmt "@,hist %-23s n=%d p50=%.1f p99=%.1f" h.hs_name h.hs_count h.hs_p50
-          h.hs_p99)
-    snap.Telemetry.snap_histograms;
-  Format.fprintf fmt "@]"
 
 type t = {
   name : string;

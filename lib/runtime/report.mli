@@ -90,7 +90,6 @@ val rule_mix_of_snapshot :
     counters (zeros when absent). *)
 
 val pp_stages : Format.formatter -> Shoalpp_support.Telemetry.snapshot -> unit
-val pp_snapshot : Format.formatter -> Shoalpp_support.Telemetry.snapshot -> unit
 
 val pp : Format.formatter -> t -> unit
 val pp_rule_mix : Format.formatter -> t -> unit

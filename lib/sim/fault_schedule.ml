@@ -47,13 +47,6 @@ let is_crashed t ~replica ~time =
     in
     kind = 0
 
-let recovery_time t ~replica =
-  List.fold_left
-    (fun acc (r, at) ->
-      if r <> replica then acc
-      else match acc with None -> Some at | Some prev -> Some (Float.min prev at))
-    None t.recoveries
-
 let egress_drop_rate t ~src ~time =
   List.fold_left
     (fun acc (rule : drop_rule) ->

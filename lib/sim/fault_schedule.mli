@@ -59,9 +59,6 @@ val is_crashed : t -> replica:int -> time:float -> bool
 val crash_time : t -> replica:int -> float option
 (** Earliest scheduled crash, if any. *)
 
-val recovery_time : t -> replica:int -> float option
-(** Earliest scheduled recovery, if any. *)
-
 val egress_drop_rate : t -> src:int -> time:float -> float
 (** Combined drop probability for messages leaving [src] at [time]. *)
 

@@ -179,8 +179,6 @@ let byzantine_for t ~n ~replica =
           if time >= from_time && time < until_time then Some kind else None)
         specs
 
-let has_byzantine t = List.exists (function Byzantine _ -> true | _ -> false) t.specs
-
 let crash_recoveries t ~n =
   List.concat_map
     (function

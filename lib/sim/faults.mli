@@ -76,8 +76,6 @@ val byzantine_for : t -> n:int -> replica:int -> float -> byz_kind option
     exhibit at [time], or [None] if it is honest (then or always). The
     partial application per replica is cheap and pure. *)
 
-val has_byzantine : t -> bool
-
 val crash_recoveries : t -> n:int -> (int * float * float) list
 (** [(replica, crash_at, recover_at)] for every crash spec with a recovery —
     the runtime schedules a WAL-replay restart for each. *)

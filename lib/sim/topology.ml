@@ -41,8 +41,6 @@ let clique ~regions ~one_way_ms =
 
 let num_regions t = Array.length t.names
 
-let region_name t i = t.names.(i)
-
 let one_way_ms t i j = t.one_way.(i).(j)
 
 let assign_round_robin t ~n = Array.init n (fun i -> i mod num_regions t)

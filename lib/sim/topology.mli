@@ -25,7 +25,6 @@ val clique : regions:int -> one_way_ms:float -> t
     tests that need small asymmetries. *)
 
 val num_regions : t -> int
-val region_name : t -> int -> string
 
 val one_way_ms : t -> int -> int -> float
 (** Base one-way propagation delay between two regions (RTT/2). Within a

@@ -19,10 +19,6 @@ type t = {
   mutable next_seg : int;
   mutable appends : int;
   mutable syncs : int;
-  mutable bytes : float;
-  mutable rotations : int;
-  mutable truncated_segments : int;
-  mutable truncated_entries : int;
 }
 
 let fresh_segment t =
@@ -43,19 +39,12 @@ let create ~timers ~sync_latency_ms ?(group_commit = true) ?(retain = false) () 
       next_seg = 0;
       appends = 0;
       syncs = 0;
-      bytes = 0.0;
-      rotations = 0;
-      truncated_segments = 0;
-      truncated_entries = 0;
     }
   in
   t.segments <- [ fresh_segment t ];
   t
 
-let current_segment t = (List.hd t.segments).seg_id
-
 let rotate t =
-  t.rotations <- t.rotations + 1;
   let seg = fresh_segment t in
   t.segments <- seg :: t.segments;
   seg.seg_id
@@ -73,24 +62,17 @@ let truncate_below t ~seg =
         (fun s ->
           if s.seg_id < seg then (
             dropped := !dropped + s.seg_count;
-            t.truncated_segments <- t.truncated_segments + 1;
             false)
           else true)
         older
     in
     t.segments <- current :: kept;
-    t.truncated_entries <- t.truncated_entries + !dropped;
     !dropped
 
 let clear t =
   (* Simulated total disk loss: every retained segment vanishes, in-flight
      appends keep their callbacks (the device still completes the sync) but
      their payloads land in the fresh post-wipe segment. *)
-  List.iter
-    (fun s ->
-      t.truncated_entries <- t.truncated_entries + s.seg_count;
-      t.truncated_segments <- t.truncated_segments + 1)
-    t.segments;
   t.segments <- [ fresh_segment t ]
 
 let rec start_sync t =
@@ -121,9 +103,8 @@ let rec start_sync t =
              batch;
            start_sync t))
 
-let append t ~size ?payload cb =
+let append t ?payload cb =
   t.appends <- t.appends + 1;
-  t.bytes <- t.bytes +. float_of_int size;
   t.queue <- { cb; payload } :: t.queue;
   if not t.device_busy then start_sync t
 
@@ -136,7 +117,3 @@ let segments t =
 let retains t = t.retain
 let appends t = t.appends
 let syncs t = t.syncs
-let bytes_written t = t.bytes
-let rotations t = t.rotations
-let truncated_entries t = t.truncated_entries
-let truncated_segments t = t.truncated_segments

@@ -45,9 +45,9 @@ val create :
     recovering replica can replay them ({!entries}); crash-recovery
     scenarios enable it. A fresh log has one empty segment (id 0). *)
 
-val append : t -> size:int -> ?payload:string -> (unit -> unit) -> unit
-(** Schedule a durable write of [size] bytes; the callback fires when the
-    write has synced. With zero latency the callback fires on the next
+val append : t -> ?payload:string -> (unit -> unit) -> unit
+(** Schedule a durable write; the callback fires when the write has
+    synced. With zero latency the callback fires on the next
     engine step (never synchronously, so callers can rely on async order).
     [payload] is retained for replay only if the log was created with
     [retain] — and only once its sync completes, so appends in flight at a
@@ -77,8 +77,6 @@ val entries : t -> string list
 val segments : t -> (int * int) list
 (** Retained [(segment id, entry count)] pairs, oldest first. *)
 
-val current_segment : t -> int
-
 val retains : t -> bool
 (** Whether this log retains payloads (callers skip encoding otherwise). *)
 
@@ -86,8 +84,3 @@ val appends : t -> int
 val syncs : t -> int
 (** Number of device sync operations; < [appends] when group commit
     coalesces. *)
-
-val bytes_written : t -> float
-val rotations : t -> int
-val truncated_entries : t -> int
-val truncated_segments : t -> int

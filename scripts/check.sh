@@ -373,14 +373,16 @@ reqs=$(printf '%s' "$restart_line" | sed -n 's/.*catch-up \([0-9]*\) sync reques
   || { echo "check failed: catch-up sync requests not O(gap) ($reqs)" >&2; exit 1; }
 echo "catch-up smoke: $restart_line"
 
-# Node-bench guard: a short re-run of the domains sweep must keep every
+# Node-bench guard: a short re-run of the load ramp must keep every
 # machine-independent behaviour field clean (audit consistent, zero
 # duplicate orders, zero pool exceptions), and the committed
-# BENCH_node.json must carry the same guarantees plus the recorded >= 1.5x
-# ordered-tps speedup at its top domain count. Absolute tx/s are never
-# asserted — they are this machine's, not the code's.
+# BENCH_node.json must carry the same guarantees plus the shape of a real
+# ramp: domains [1, 2], nproc recorded, a knee entry per domain count,
+# p99 >= p50 and a positive CPU cost per ordered tx at every point.
+# Absolute tx/s and the domains 2 : 1 ratio are never asserted — they are
+# this machine's, not the code's.
 BENCH_NODE_OUT="$out/node_bench.json" BENCH_NODE_DURATION_S=2 \
-  BENCH_NODE_LOAD=20000 BENCH_NODE_DOMAINS=1,2 \
+  BENCH_NODE_LOADS=20000 BENCH_NODE_DOMAINS=1,2 \
   timeout 120 ./_build/default/bench/main.exe node >/dev/null \
   || { echo "check failed: node bench did not complete" >&2; exit 1; }
 if command -v python3 >/dev/null 2>&1; then
@@ -389,21 +391,28 @@ import json, sys
 fresh = json.load(open(sys.argv[1]))
 committed = json.load(open(sys.argv[2]))
 for which, doc in (("fresh", fresh), ("committed", committed)):
-    assert doc["schema"] == "shoalpp-bench-node/1", f"{which}: bad schema"
+    assert doc["schema"] == "shoalpp-bench-node/2", f"{which}: bad schema"
     assert doc["runs"], f"{which}: no runs"
     for r in doc["runs"]:
-        tag = f"{which} domains={r['domains']}"
+        tag = f"{which} domains={r['domains']} offered={r['offered_tps']}"
         assert r["audit_consistent"] is True, f"{tag}: audit failed"
         assert r["duplicate_orders"] == 0, f"{tag}: duplicate orders"
         assert r["pool_work_exceptions"] == 0, f"{tag}: pool exceptions"
         assert r["behaviour_ok"] is True, f"{tag}: behaviour flag"
         assert r["committed"] > 0, f"{tag}: committed nothing"
         assert r["k_dags"] == 3, f"{tag}: unexpected DAG count"
-assert [r["domains"] for r in committed["runs"]] == [1, 2, 4], "committed sweep shape changed"
-sp = committed["speedup_vs_1"]
-assert sp["ratio"] >= 1.5, f"committed speedup {sp['ratio']:.2f}x < 1.5x"
-print(f"node bench guard: behaviour clean at domains {[r['domains'] for r in fresh['runs']]}, "
-      f"committed speedup {sp['ratio']:.2f}x at {sp['domains']} domains")
+domains = sorted({r["domains"] for r in committed["runs"]})
+assert domains == [1, 2], f"committed sweep covers domains {domains}, want [1, 2]"
+assert committed["nproc"] >= 1, "committed file lacks nproc"
+assert sorted(k["domains"] for k in committed["knees"]) == [1, 2], "knee missing for a domain count"
+for r in committed["runs"]:
+    tag = f"committed domains={r['domains']} offered={r['offered_tps']}"
+    assert r["nproc"] == committed["nproc"], f"{tag}: nproc differs from the file's"
+    assert r["latency_p99_ms"] >= r["latency_p50_ms"], f"{tag}: p99 < p50"
+    assert r["cpu_us_per_tx"] > 0, f"{tag}: no CPU cost recorded"
+knees = ", ".join(f"d={k['domains']}: {k['knee_tps']}" for k in committed["knees"])
+print(f"node bench guard: behaviour clean at domains {sorted({r['domains'] for r in fresh['runs']})}, "
+      f"committed knees {knees} (nproc {committed['nproc']})")
 EOF
 else
   grep -q '"behaviour_ok":true' "$out/node_bench.json" \

@@ -26,7 +26,12 @@
    - the lifecycle rule: every transport handler runs on the main loop,
      so a message a foreign domain sends after {!Node.run} has shut the
      verify pool down is dropped and counted ([node.late_drops]) on the
-     main domain — never a post-shutdown submit raising on the sender. *)
+     main domain — never a post-shutdown submit raising on the sender;
+
+   - pool rejections are visible: a proposal with a forged author
+     signature, injected into a [--domains 2] node with signature checks
+     on, is dropped by the pool and counted once as [node.verify_rejects]
+     in the report's telemetry, and the audit stays consistent. *)
 
 module Verify_pool = Shoalpp_backend.Verify_pool
 module Node = Shoalpp_runtime.Node
@@ -335,6 +340,48 @@ let test_late_message_after_shutdown_dropped () =
   Realtime.run_for exec ~duration_ms:20.0;
   checki "exactly one late drop counted on the main loop" 1 (late () - before)
 
+let test_forged_proposal_counted_as_reject () =
+  let seed = 19 in
+  let committee = Committee.make ~n:4 ~cluster_seed:seed () in
+  let protocol = Config.shoalpp ~committee in
+  let node =
+    Node.create { (Node.default_setup ~protocol) with Node.load_tps = 400.0; seed; domains = 2 }
+  in
+  let batch = Shoalpp_workload.Batch.empty ~created_at:0.0 in
+  let digest =
+    Types.node_digest ~round:1 ~author:1 ~batch_digest:batch.Shoalpp_workload.Batch.digest
+      ~parents:[] ~weak_parents:[]
+  in
+  let forged =
+    {
+      Types.round = 1;
+      author = 1;
+      batch;
+      parents = [];
+      weak_parents = [];
+      digest;
+      (* Signed with replica 2's key: the author's signature check fails. *)
+      signature =
+        Shoalpp_crypto.Signer.sign (Committee.keypair committee 2)
+          (Shoalpp_crypto.Digest32.raw digest);
+      created_at = 0.0;
+    }
+  in
+  let backend = Node.backend node in
+  ignore
+    (Backend.schedule backend ~after:200.0 (fun () ->
+         backend.Backend.transport.Backend.Transport.send ~src:1 ~dst:0 ~size:256
+           { Replica.dag_id = 0; payload = Types.Proposal forged }));
+  let duration_ms = 600.0 in
+  Node.run node ~duration_ms;
+  let audit = Node.audit node in
+  checkb "consistent prefixes" true audit.Commit_log.consistent_prefixes;
+  checki "no duplicates" 0 audit.Commit_log.duplicate_orders;
+  checkb "progress" true (audit.Commit_log.total_segments > 0);
+  let report = Node.report node ~duration_ms in
+  checki "exactly one pool rejection counted" 1
+    (Telemetry.snap_counter report.Report.telemetry "node.verify_rejects")
+
 let suite =
   [
     ( "multicore",
@@ -355,5 +402,7 @@ let suite =
           test_golden_under_crash_fault;
         Alcotest.test_case "lifecycle: late message after shutdown dropped" `Quick
           test_late_message_after_shutdown_dropped;
+        Alcotest.test_case "lifecycle: forged proposal counted as verify reject" `Quick
+          test_forged_proposal_counted_as_reject;
       ] );
   ]

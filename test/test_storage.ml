@@ -37,7 +37,7 @@ let check_sl = Alcotest.(check (list string))
 let make_wal engine = Wal.create ~timers:(Shoalpp_backend.Backend_sim.timers engine) ~sync_latency_ms:5.0 ~retain:true ()
 
 let append_synced engine wal payload =
-  Wal.append wal ~size:(String.length payload) ~payload (fun () -> ());
+  Wal.append wal ~payload (fun () -> ());
   Engine.run ~until:(Engine.now engine +. 50.0) engine
 
 let test_wal_segment_boundary_replay () =
@@ -70,7 +70,7 @@ let test_wal_crash_mid_rotation () =
   (* An append still in flight when the checkpoint rotates: its sync
      completes after the rotation, so it must land in the new segment —
      a truncation of the old window can never lose it. *)
-  Wal.append wal ~size:3 ~payload:"new" (fun () -> ());
+  Wal.append wal ~payload:"new" (fun () -> ());
   ignore (Wal.rotate wal);
   Engine.run ~until:(Engine.now engine +. 50.0) engine;
   Alcotest.(check (list (pair int int)))

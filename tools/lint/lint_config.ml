@@ -146,9 +146,9 @@ let default =
           a_path = "bench/main.ml";
           a_rule = "effect-confinement";
           a_reason =
-            "perf harness wall-clock measurement (Unix.gettimeofday around \
-             whole runs); timings are reported, never fed back into \
-             simulated behaviour";
+            "perf harness wall-clock and CPU-time measurement \
+             (Unix.gettimeofday and Unix.times around whole runs); timings \
+             are reported, never fed back into simulated behaviour";
         };
         {
           a_path = "lib/dag/validation.ml";
